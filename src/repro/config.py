@@ -14,12 +14,12 @@ The default values model the paper's experimental platform: a dedicated
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Any
 
+from .codec import plain
 from .errors import ConfigError
 from .units import STREAM_CAPACITY_TXUS, XEON_L2_BYTES, ms
 
@@ -49,8 +49,9 @@ def canonical_json(payload: Any) -> str:
     a stable hashing substrate across processes and interpreter runs —
     unlike ``pickle`` (protocol-dependent) or ``hash()`` (salted).
 
-    Integers and floats canonicalize distinctly (``1`` vs ``1.0``): a
-    config field changing numeric *type* is a different configuration.
+    Integers and floats canonicalize distinctly (``1`` vs ``1.0``). The
+    decoder of :mod:`repro.codec` widens an int arriving for a ``float``
+    field, so a decoded spec hashes the same whichever form was sent.
     """
     try:
         return json.dumps(
@@ -174,7 +175,7 @@ class BusConfig:
 
     def to_dict(self) -> dict[str, Any]:
         """Serialize to a plain dictionary."""
-        return dataclasses.asdict(self)
+        return plain.to_json(self)
 
 
 @dataclass(frozen=True)
@@ -226,7 +227,7 @@ class CacheConfig:
 
     def to_dict(self) -> dict[str, Any]:
         """Serialize to a plain dictionary."""
-        return dataclasses.asdict(self)
+        return plain.to_json(self)
 
 
 @dataclass(frozen=True)
@@ -280,13 +281,7 @@ class MachineConfig:
 
     def to_dict(self) -> dict[str, Any]:
         """Serialize to a plain (nested) dictionary."""
-        return {
-            "n_cpus": self.n_cpus,
-            "smt_ways": self.smt_ways,
-            "smt_efficiency": self.smt_efficiency,
-            "bus": self.bus.to_dict(),
-            "cache": self.cache.to_dict(),
-        }
+        return plain.to_json(self)
 
 
 @dataclass(frozen=True)
@@ -332,7 +327,7 @@ class LinuxSchedConfig:
 
     def to_dict(self) -> dict[str, Any]:
         """Serialize to a plain dictionary."""
-        return dataclasses.asdict(self)
+        return plain.to_json(self)
 
 
 @dataclass(frozen=True)
@@ -465,4 +460,4 @@ class ManagerConfig:
 
     def to_dict(self) -> dict[str, Any]:
         """Serialize to a plain dictionary."""
-        return dataclasses.asdict(self)
+        return plain.to_json(self)

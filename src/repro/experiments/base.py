@@ -150,7 +150,7 @@ class SimulationSpec:
 
         SHA-256 over the canonical JSON form of the spec
         (:func:`repro.service.schemas.spec_to_dict` +
-        :func:`repro.config.canonical_hash`): the same spec hashes
+        :func:`repro.service.schemas.spec_dict_hash`): the same spec hashes
         identically in every process and interpreter run, and changing
         any result-affecting field — an application's demand pattern, a
         solver knob, the seed — produces a new hash. The service result
@@ -166,12 +166,9 @@ class SimulationSpec:
         Raises :class:`repro.errors.ConfigError` for specs without a
         wire format (a custom policy subclass or ``fitness_fn``).
         """
-        from ..config import canonical_hash
-        from ..service.schemas import spec_to_dict
+        from ..service.schemas import spec_dict_hash, spec_to_dict
 
-        payload = spec_to_dict(self)
-        del payload["profile"], payload["audit"]
-        return canonical_hash(payload)
+        return spec_dict_hash(spec_to_dict(self))
 
 
 @dataclass

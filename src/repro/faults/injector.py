@@ -38,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
+from ..codec import plain
 from ..core.arena import ArenaSample
 from .plan import FaultPlan
 
@@ -117,9 +118,7 @@ class FaultStats:
 
     def to_dict(self) -> dict[str, Any]:
         """Serialize to a plain dictionary."""
-        import dataclasses
-
-        return dataclasses.asdict(self)
+        return plain.to_json(self)
 
 
 class FaultInjector:

@@ -34,6 +34,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any
 
+from ..codec import plain
 from ..errors import ConfigError
 
 __all__ = ["FaultPlan"]
@@ -211,4 +212,4 @@ class FaultPlan:
 
     def to_dict(self) -> dict[str, Any]:
         """Serialize to a plain dictionary."""
-        return dataclasses.asdict(self)
+        return plain.to_json(self)

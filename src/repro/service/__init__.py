@@ -10,7 +10,8 @@ many-tenant workload Eremeev et al., arXiv:2010.16058, evaluate):
   (``SubmitRequest`` wrapping :class:`~repro.experiments.base.
   SimulationSpec` / :class:`~repro.dynamic.DynamicWorkload`) with
   actionable, path-annotated 4xx-style errors, plus exact round-trip
-  codecs for specs and :class:`~repro.metrics.accounting.RunResult`.
+  codecs for specs and :class:`~repro.metrics.accounting.RunResult`, all
+  derived from the dataclasses by :mod:`repro.codec`.
 * :mod:`repro.service.jobs` — an in-process bounded job queue with
   per-tenant round-robin fairness and drop/reject accounting, and the
   :class:`SimulationService` dispatcher reusing
@@ -26,9 +27,8 @@ many-tenant workload Eremeev et al., arXiv:2010.16058, evaluate):
   from 503 queue-full).
 * :mod:`repro.service.stats` — live service statistics (queue depth,
   in-flight, cache hit rate, per-run wall time).
-* :mod:`repro.service.api` — the HTTP layer: a dependency-light
-  stdlib WSGI core (``repro serve``) with FastAPI as an optional
-  ``[service]`` extra.
+* :mod:`repro.service.api` — the HTTP layer: a dependency-free stdlib
+  WSGI server (``repro serve``).
 
 Determinism guarantee: the service executes the *same*
 ``run_simulation`` the library exposes, so a stored result is
@@ -36,7 +36,7 @@ bit-identical (dataclass equality) to a direct in-process run of the
 same spec — ``tests/service/test_service.py`` pins this down.
 """
 
-from .api import create_fastapi_app, create_wsgi_app, serve, serve_background
+from .api import create_wsgi_app, serve, serve_background
 from .jobs import FairQueue, Job, QueueFullError, ServiceClosedError, SimulationService
 from .ratelimit import RateLimitConfig, RateLimitedError, RateLimiter
 from .schemas import (
@@ -65,7 +65,6 @@ __all__ = [
     "SimulationService",
     "SpecValidationError",
     "SubmitRequest",
-    "create_fastapi_app",
     "create_wsgi_app",
     "parse_submit_request",
     "serve",

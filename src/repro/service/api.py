@@ -1,11 +1,8 @@
 """HTTP layer over :class:`~repro.service.jobs.SimulationService`.
 
 The core is a plain WSGI application (:func:`create_wsgi_app`) served by
-the stdlib ``wsgiref`` threading server — the tier-1 environment installs
-nothing, so the service must run dependency-free. A FastAPI veneer over
-the *same* service object is available behind the optional ``[service]``
-extra (:func:`create_fastapi_app`); both speak the identical JSON wire
-format because every route delegates straight to the service core.
+the stdlib ``wsgiref`` threading server, so the service runs
+dependency-free.
 
 Routes (all JSON)::
 
@@ -51,7 +48,7 @@ from .ratelimit import RateLimitedError
 from .schemas import SpecValidationError, result_to_dict
 from .store import RUN_STATUSES, UnknownRunError
 
-__all__ = ["create_wsgi_app", "create_fastapi_app", "serve", "ServiceServer"]
+__all__ = ["create_wsgi_app", "serve", "ServiceServer"]
 
 _STATUS_TEXT = {
     200: "200 OK",
@@ -279,118 +276,3 @@ def serve_background(
     )
     thread.start()
     return server, thread
-
-
-def create_fastapi_app(service: SimulationService):  # pragma: no cover - optional extra
-    """The same API as a FastAPI app (requires the ``[service]`` extra).
-
-    The WSGI app above is the canonical implementation; this veneer adds
-    OpenAPI docs and async serving for deployments that installed
-    ``repro[service]``. Every route still delegates to the shared
-    service core, so behaviour and wire format are identical.
-    """
-    try:
-        from fastapi import FastAPI, Request
-        from fastapi.responses import JSONResponse
-    except ImportError as exc:
-        raise RuntimeError(
-            "FastAPI is not installed; install the optional extra "
-            "(pip install 'repro[service]') or use the stdlib WSGI server "
-            "(repro.service.api.serve), which needs no dependencies"
-        ) from exc
-
-    app = FastAPI(title="repro simulation service", version="1")
-
-    def _json(status: int, body: dict) -> JSONResponse:
-        return JSONResponse(status_code=status, content=body)
-
-    @app.post("/v1/runs")
-    async def submit(request: Request) -> JSONResponse:
-        try:
-            body = await request.json()
-        except Exception:
-            return _json(400, _error_body("validation", "body is not valid JSON"))
-        try:
-            response = service.submit(body)
-        except SpecValidationError as exc:
-            return _json(400, {"error": exc.to_dict()})
-        except RateLimitedError as exc:
-            response_429 = _json(
-                429,
-                _error_body("rate_limited", str(exc), retry_after_s=exc.retry_after_s),
-            )
-            name, value = _retry_after_header(exc.retry_after_s)
-            response_429.headers[name] = value
-            return response_429
-        except QueueFullError as exc:
-            return _json(503, _error_body("queue_full", str(exc)))
-        except ServiceClosedError as exc:
-            return _json(503, _error_body("draining", str(exc)))
-        return _json(200 if response["cached"] else 202, response)
-
-    @app.get("/v1/runs")
-    async def list_runs(
-        tenant: str | None = None, status: str | None = None, limit: int = 100
-    ) -> JSONResponse:
-        try:
-            runs = service.list_runs(tenant, status, limit)
-        except ValueError as exc:
-            return _json(
-                400, _error_body("validation", str(exc), allowed=list(RUN_STATUSES))
-            )
-        return _json(200, {"runs": runs})
-
-    @app.get("/v1/runs/{run_id}")
-    async def poll(run_id: str) -> JSONResponse:
-        try:
-            return _json(200, service.poll(run_id))
-        except UnknownRunError as exc:
-            return _json(404, _error_body("not_found", str(exc)))
-
-    @app.get("/v1/runs/{run_id}/result")
-    async def result(run_id: str) -> JSONResponse:
-        try:
-            record = service.store.get(run_id)
-            decoded = service.result(run_id)
-        except UnknownRunError as exc:
-            return _json(404, _error_body("not_found", str(exc)))
-        if decoded is None:
-            return _json(
-                409,
-                _error_body(
-                    "not_ready",
-                    f"run {run_id!r} is {record.status!r}; no result stored",
-                    status=record.status,
-                    error=record.error,
-                ),
-            )
-        return _json(200, {"run": record.to_dict(), "result": result_to_dict(decoded)})
-
-    @app.get("/v1/runs/{run_id}/audit")
-    async def audit(run_id: str) -> JSONResponse:
-        try:
-            record = service.store.get(run_id)
-            report = service.store.get_audit(run_id)
-        except UnknownRunError as exc:
-            return _json(404, _error_body("not_found", str(exc)))
-        if report is None:
-            return _json(
-                404,
-                _error_body(
-                    "no_audit",
-                    f"run {run_id!r} has no stored audit report"
-                    " (submit the spec with \"audit\": true)",
-                    status=record.status,
-                ),
-            )
-        return _json(200, {"run_id": run_id, "status": record.status, "audit": report})
-
-    @app.get("/v1/stats")
-    async def stats() -> JSONResponse:
-        return _json(200, service.stats().to_dict())
-
-    @app.get("/v1/healthz")
-    async def healthz() -> JSONResponse:
-        return _json(200, {"ok": True, "dispatcher_running": service.running})
-
-    return app

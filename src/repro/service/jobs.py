@@ -45,7 +45,13 @@ from ..experiments.base import SimulationSpec
 from ..metrics.accounting import RunResult
 from ..parallel import SupervisionConfig, run_many
 from .ratelimit import RateLimitConfig, RateLimiter
-from .schemas import SubmitRequest, parse_submit_request, spec_from_dict, spec_to_dict
+from .schemas import (
+    SubmitRequest,
+    parse_submit_request,
+    spec_dict_hash,
+    spec_from_dict,
+    spec_to_dict,
+)
 from .stats import ServiceStats
 from .store import ResultStore, RunRecord
 
@@ -416,8 +422,9 @@ class SimulationService:
             # Shed before any store row exists: a rate-limited submission
             # leaves no trace beyond the limiter's reject counter.
             self.limiter.acquire(request.tenant)
-        spec_hash = request.spec.spec_hash()
-        spec_json = canonical_json(spec_to_dict(request.spec))
+        spec_dict = spec_to_dict(request.spec)
+        spec_hash = spec_dict_hash(spec_dict)
+        spec_json = canonical_json(spec_dict)
         record = self.store.create(
             spec_hash=spec_hash,
             spec_json=spec_json,

@@ -8,10 +8,6 @@ Two jobs live here:
   :class:`SpecValidationError` carrying a JSON-pointer-style ``path`` and
   an actionable message ("expected one of ...", "must be positive"), so
   the HTTP layer can return a precise 400 instead of a stack trace.
-  The frozen config dataclasses already validate eagerly in
-  ``__post_init__``; the codec translates those :class:`~repro.errors.
-  ConfigError`/:class:`~repro.errors.WorkloadError` raises into
-  path-annotated schema errors rather than re-implementing the rules.
 
 * **Round-trip codecs** — ``spec_to_dict``/``spec_from_dict`` and
   ``result_to_dict``/``result_from_dict`` are exact: floats serialize via
@@ -20,6 +16,14 @@ Two jobs live here:
   to ``s`` and a stored :class:`~repro.metrics.accounting.RunResult`
   compares equal to the in-process original. The canonical spec dict is
   also the hashing substrate of :meth:`SimulationSpec.spec_hash`.
+
+Both directions run on the dataclass-driven codec of :mod:`repro.codec`.
+This module only registers the wire vocabulary it cannot derive from the
+dataclasses: the ``kind`` → class registries of the polymorphic families
+(demand patterns, arrival processes, rate shapes, job mixes), the
+scheduler strings and policy objects, the ``{"app": ...}`` /
+``{"microbench": ...}`` application references, the ``{"paper": [...]}``
+mix palette, and the spec's cross-field rules.
 
 Wire format sketch (see README "Simulation service")::
 
@@ -42,17 +46,23 @@ Application specs are either inline (``{"name": ..., "n_threads": ...,
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from dataclasses import dataclass
+from functools import partial
+from typing import Any
 
-from ..config import (
-    BusConfig,
-    CacheConfig,
-    LinuxSchedConfig,
-    MachineConfig,
-    ManagerConfig,
+from ..audit.checks import AuditReport
+from ..codec import (
+    Codec,
+    Family,
+    SpecValidationError,
+    build,
+    expect_dict,
+    expect_float,
+    expect_str,
+    fail,
+    reject_unknown,
 )
+from ..config import canonical_hash
 from ..core.policies import (
     BandwidthPolicy,
     EwmaPolicy,
@@ -74,19 +84,17 @@ from ..dynamic.arrivals import (
 )
 from ..dynamic.config import (
     BurstyMix,
-    DynamicWorkload,
     HotspotMix,
     JobMix,
     SequentialMix,
     ZipfianMix,
     paper_mix,
 )
-from ..errors import ConfigError, ReproError, SchedulingError, WorkloadError
+from ..errors import ConfigError, WorkloadError
 from ..experiments.base import SimulationSpec
-from ..faults.plan import FaultPlan
-from ..metrics.accounting import AppResult, RunResult
-from ..metrics.queueing import DynamicStats, JobRecord
-from ..metrics.streaming import StreamingSummary
+from ..faults.injector import FaultStats
+from ..metrics.accounting import RunResult
+from ..metrics.queueing import DynamicStats
 from ..workloads.base import ApplicationSpec
 from ..workloads.patterns import (
     ConstantPattern,
@@ -103,6 +111,7 @@ __all__ = [
     "parse_submit_request",
     "spec_from_dict",
     "spec_to_dict",
+    "spec_dict_hash",
     "scheduler_from_json",
     "scheduler_to_json",
     "result_from_dict",
@@ -112,358 +121,131 @@ __all__ = [
 ]
 
 
-class SpecValidationError(ReproError):
-    """An untrusted payload failed schema validation.
-
-    Attributes
-    ----------
-    path:
-        JSON-pointer-style location of the offending value, e.g.
-        ``spec.targets[0].pattern.kind``.
-    message:
-        What was wrong and what would have been accepted.
-    """
-
-    def __init__(self, path: str, message: str) -> None:
-        self.path = path
-        self.message = message
-        super().__init__(f"{path}: {message}")
-
-    def to_dict(self) -> dict[str, str]:
-        """The 400-response body fragment."""
-        return {"type": "validation", "path": self.path, "message": self.message}
-
-    def __reduce__(self):
-        return (type(self), (self.path, self.message))
-
-
-# --------------------------------------------------------------------------- primitives
-
-
-def _fail(path: str, message: str) -> "SpecValidationError":
-    raise SpecValidationError(path, message)
-
-
-def _expect_dict(value: Any, path: str) -> dict:
-    if not isinstance(value, dict):
-        _fail(path, f"expected an object, got {type(value).__name__}")
-    return value
-
-
-def _expect_list(value: Any, path: str) -> list:
-    if not isinstance(value, list):
-        _fail(path, f"expected an array, got {type(value).__name__}")
-    return value
-
-
-def _expect_str(value: Any, path: str) -> str:
-    if not isinstance(value, str):
-        _fail(path, f"expected a string, got {type(value).__name__}")
-    return value
-
-
-def _expect_bool(value: Any, path: str) -> bool:
-    if not isinstance(value, bool):
-        _fail(path, f"expected a boolean, got {type(value).__name__}")
-    return value
-
-
-def _expect_int(value: Any, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(path, f"expected an integer, got {type(value).__name__}")
-    return value
-
-
-def _expect_float(value: Any, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(path, f"expected a number, got {type(value).__name__}")
-    result = float(value)
-    if not math.isfinite(result):
-        _fail(path, f"expected a finite number, got {value!r}")
-    return result
-
-
-def _reject_unknown(payload: dict, known: set[str], path: str) -> None:
-    unknown = sorted(set(payload) - known)
-    if unknown:
-        _fail(
-            path,
-            f"unknown field(s) {', '.join(map(repr, unknown))}; "
-            f"accepted: {', '.join(sorted(known))}",
-        )
-
-
-def _build(factory: Callable[..., Any], kwargs: dict, path: str) -> Any:
-    """Construct a validated config object, mapping its eager validation
-    errors onto the payload location."""
-    try:
-        return factory(**kwargs)
-    except (ConfigError, WorkloadError, SchedulingError) as exc:
-        _fail(path, str(exc))
-    except TypeError as exc:
-        # Wrong value type reaching a dataclass comparison ("'<' not
-        # supported between str and int") or a stray keyword: still the
-        # submitter's fault, still a 400.
-        _fail(path, f"invalid value: {exc}")
-
-
-def _pairs(value: Any, path: str) -> tuple[tuple[float, float], ...]:
-    """Decode an array of two-number arrays (phases / trace segments)."""
-    items = _expect_list(value, path)
-    out = []
-    for i, pair in enumerate(items):
-        pair = _expect_list(pair, f"{path}[{i}]")
-        if len(pair) != 2:
-            _fail(f"{path}[{i}]", f"expected a [length, rate] pair, got {len(pair)} items")
-        out.append(
-            (_expect_float(pair[0], f"{path}[{i}][0]"), _expect_float(pair[1], f"{path}[{i}][1]"))
-        )
-    return tuple(out)
-
-
-# --------------------------------------------------------------------------- demand patterns
-
-_PATTERN_KINDS = ("constant", "phased", "markov", "jitter", "trace")
-
-
-def pattern_from_dict(payload: Any, path: str = "pattern") -> DemandPattern:
-    """Decode a kind-tagged demand pattern."""
-    payload = _expect_dict(payload, path)
-    kind = _expect_str(_get(payload, "kind", path), f"{path}.kind")
-    if kind == "constant":
-        _reject_unknown(payload, {"kind", "rate_txus"}, path)
-        return _build(
-            ConstantPattern,
-            {"rate_txus": _expect_float(_get(payload, "rate_txus", path), f"{path}.rate_txus")},
-            path,
-        )
-    if kind == "phased":
-        _reject_unknown(payload, {"kind", "phases"}, path)
-        return _build(
-            PhasedPattern,
-            {"phases": _pairs(_get(payload, "phases", path), f"{path}.phases")},
-            path,
-        )
-    if kind == "markov":
-        known = {
-            "kind", "low_rate_txus", "high_rate_txus",
-            "mean_low_work_us", "mean_high_work_us", "start_high",
-        }
-        _reject_unknown(payload, known, path)
-        kwargs = {
-            key: _expect_float(_get(payload, key, path), f"{path}.{key}")
-            for key in ("low_rate_txus", "high_rate_txus", "mean_low_work_us", "mean_high_work_us")
-        }
-        kwargs["start_high"] = _expect_bool(payload.get("start_high", False), f"{path}.start_high")
-        return _build(MarkovBurstPattern, kwargs, path)
-    if kind == "jitter":
-        _reject_unknown(payload, {"kind", "base_rate_txus", "jitter", "chunk_work_us"}, path)
-        return _build(
-            JitterPattern,
-            {
-                "base_rate_txus": _expect_float(
-                    _get(payload, "base_rate_txus", path), f"{path}.base_rate_txus"
-                ),
-                "jitter": _expect_float(payload.get("jitter", 0.1), f"{path}.jitter"),
-                "chunk_work_us": _expect_float(
-                    payload.get("chunk_work_us", 10_000.0), f"{path}.chunk_work_us"
-                ),
-            },
-            path,
-        )
-    if kind == "trace":
-        _reject_unknown(payload, {"kind", "segments", "tail_rate_txus"}, path)
-        tail = payload.get("tail_rate_txus")
-        return _build(
-            TracePattern,
-            {
-                "segments": _pairs(_get(payload, "segments", path), f"{path}.segments"),
-                "tail_rate_txus": None if tail is None else _expect_float(tail, f"{path}.tail_rate_txus"),
-            },
-            path,
-        )
-    _fail(f"{path}.kind", f"unknown pattern kind {kind!r}; expected one of {', '.join(_PATTERN_KINDS)}")
-
-
-def pattern_to_dict(pattern: DemandPattern) -> dict[str, Any]:
-    """Encode a demand pattern as its kind-tagged dict."""
-    if isinstance(pattern, ConstantPattern):
-        return {"kind": "constant", "rate_txus": pattern.rate_txus}
-    if isinstance(pattern, PhasedPattern):
-        return {"kind": "phased", "phases": [list(p) for p in pattern.phases]}
-    if isinstance(pattern, MarkovBurstPattern):
-        return {
-            "kind": "markov",
-            "low_rate_txus": pattern.low_rate_txus,
-            "high_rate_txus": pattern.high_rate_txus,
-            "mean_low_work_us": pattern.mean_low_work_us,
-            "mean_high_work_us": pattern.mean_high_work_us,
-            "start_high": pattern.start_high,
-        }
-    if isinstance(pattern, JitterPattern):
-        return {
-            "kind": "jitter",
-            "base_rate_txus": pattern.base_rate_txus,
-            "jitter": pattern.jitter,
-            "chunk_work_us": pattern.chunk_work_us,
-        }
-    if isinstance(pattern, TracePattern):
-        return {
-            "kind": "trace",
-            "segments": [list(s) for s in pattern.segments],
-            "tail_rate_txus": pattern.tail_rate_txus,
-        }
-    raise ConfigError(
-        f"cannot serialize demand pattern {type(pattern).__name__}; "
-        "only the built-in pattern classes have a wire format"
-    )
+# --------------------------------------------------------------------------- application specs
 
 
 def _get(payload: dict, key: str, path: str) -> Any:
     if key not in payload:
-        _fail(path, f"missing required field {key!r}")
+        fail(path, f"missing required field {key!r}")
     return payload[key]
-
-
-# --------------------------------------------------------------------------- application specs
 
 
 def app_spec_from_dict(payload: Any, path: str = "app") -> ApplicationSpec:
     """Decode an application spec: inline, ``{"app": ...}`` or ``{"microbench": ...}``."""
-    payload = _expect_dict(payload, path)
+    payload = expect_dict(payload, path)
     if "app" in payload:
-        _reject_unknown(payload, {"app", "work_scale"}, path)
+        reject_unknown(payload, ("app", "work_scale"), path)
         from ..workloads.suites import paper_app, paper_app_names
 
-        name = _expect_str(payload["app"], f"{path}.app")
+        name = expect_str(payload["app"], f"{path}.app")
         try:
             spec = paper_app(name)
         except (KeyError, WorkloadError):
-            _fail(
+            fail(
                 f"{path}.app",
                 f"unknown paper application {name!r}; "
                 f"expected one of {', '.join(paper_app_names())}",
             )
-        scale = _expect_float(payload.get("work_scale", 1.0), f"{path}.work_scale")
+        scale = expect_float(payload.get("work_scale", 1.0), f"{path}.work_scale")
         if scale <= 0:
-            _fail(f"{path}.work_scale", f"must be positive, got {scale}")
-        return spec.scaled(scale) if scale != 1.0 else spec
+            fail(f"{path}.work_scale", f"must be positive, got {scale}")
+        if scale == 1.0:
+            return spec
+        return build(spec.scaled, {"work_scale": scale}, f"{path}.work_scale")
     if "microbench" in payload:
-        _reject_unknown(payload, {"microbench", "work_us"}, path)
+        reject_unknown(payload, ("microbench", "work_us"), path)
         from ..workloads.microbench import bbma_spec, nbbma_spec
 
-        name = _expect_str(payload["microbench"], f"{path}.microbench")
+        name = expect_str(payload["microbench"], f"{path}.microbench")
         factory = {"BBMA": bbma_spec, "nBBMA": nbbma_spec}.get(name)
         if factory is None:
-            _fail(f"{path}.microbench", f"unknown microbenchmark {name!r}; expected BBMA or nBBMA")
-        if "work_us" in payload:
-            return factory(_expect_float(payload["work_us"], f"{path}.work_us"))
-        return factory()
-    known = {
-        "name", "n_threads", "work_per_thread_us", "pattern", "footprint_lines",
-        "migration_sensitivity", "io_interval_work_us", "io_duration_us",
-    }
-    _reject_unknown(payload, known, path)
-    io_interval = payload.get("io_interval_work_us")
-    kwargs = {
-        "name": _expect_str(_get(payload, "name", path), f"{path}.name"),
-        "n_threads": _expect_int(_get(payload, "n_threads", path), f"{path}.n_threads"),
-        "work_per_thread_us": _expect_float(
-            _get(payload, "work_per_thread_us", path), f"{path}.work_per_thread_us"
-        ),
-        "pattern": pattern_from_dict(_get(payload, "pattern", path), f"{path}.pattern"),
-        "footprint_lines": _expect_float(payload.get("footprint_lines", 4096.0), f"{path}.footprint_lines"),
-        "migration_sensitivity": _expect_float(
-            payload.get("migration_sensitivity", 0.0), f"{path}.migration_sensitivity"
-        ),
-        "io_interval_work_us": (
-            None if io_interval is None else _expect_float(io_interval, f"{path}.io_interval_work_us")
-        ),
-        "io_duration_us": _expect_float(payload.get("io_duration_us", 0.0), f"{path}.io_duration_us"),
-    }
-    return _build(ApplicationSpec, kwargs, path)
+            fail(f"{path}.microbench", f"unknown microbenchmark {name!r}; expected BBMA or nBBMA")
+        if "work_us" not in payload:
+            return factory()
+        work_us = expect_float(payload["work_us"], f"{path}.work_us")
+        return build(factory, {"work_us": work_us}, f"{path}.work_us")
+    return build(ApplicationSpec, _CODEC.decode_fields(ApplicationSpec, payload, path), path)
 
 
-def app_spec_to_dict(spec: ApplicationSpec) -> dict[str, Any]:
-    """Encode an application spec inline (references are normalized away)."""
-    return {
-        "name": spec.name,
-        "n_threads": spec.n_threads,
-        "work_per_thread_us": spec.work_per_thread_us,
-        "pattern": pattern_to_dict(spec.pattern),
-        "footprint_lines": spec.footprint_lines,
-        "migration_sensitivity": spec.migration_sensitivity,
-        "io_interval_work_us": spec.io_interval_work_us,
-        "io_duration_us": spec.io_duration_us,
-    }
+# --------------------------------------------------------------------------- job mixes
+
+
+def job_mix_from_dict(payload: Any, path: str = "mix") -> JobMix:
+    """Decode a job mix: explicit entries or a ``{"paper": [...]}`` palette.
+
+    An optional ``kind`` tag (plus its parameters) selects a skewed or
+    correlated family over the same palette; absent, the mix is the plain
+    weighted one.
+    """
+    cls = _CODEC.family_member(JobMix, payload, path)
+    given = None
+    if "paper" in payload:
+        names = _CODEC.from_json(list[str], payload["paper"], f"{path}.paper")
+        scale = expect_float(payload.get("work_scale", 1.0), f"{path}.work_scale")
+        try:
+            given = {"entries": paper_mix(names, work_scale=scale).entries}
+        except (ConfigError, WorkloadError, KeyError) as exc:
+            fail(f"{path}.paper", str(exc))
+        payload = {k: v for k, v in payload.items() if k not in ("paper", "work_scale")}
+    kwargs = _CODEC.decode_fields(cls, payload, path, allowed=("kind",), given=given)
+    return build(cls, kwargs, path)
 
 
 # --------------------------------------------------------------------------- schedulers
 
 _KERNEL_SCHEDULERS = ("linux", "linux26", "dedicated", "gang")
 
-#: policy name -> (factory, extra JSON-safe constructor fields)
-_POLICIES: dict[str, tuple[type, dict[str, Callable[[Any, str], Any]]]] = {
+#: policy name -> (class, the constructor fields it adds to the common ones)
+_POLICIES: dict[str, tuple[type, dict[str, Any]]] = {
     "latest_quantum": (LatestQuantumPolicy, {}),
-    "quanta_window": (QuantaWindowPolicy, {"window_length": _expect_int}),
-    "ewma": (EwmaPolicy, {"alpha": _expect_float}),
+    "quanta_window": (QuantaWindowPolicy, {"window_length": int}),
+    "ewma": (EwmaPolicy, {"alpha": float}),
     "model_driven": (
         ModelDrivenPolicy,
         {
-            "window_length": _expect_int,
-            "idle_penalty": _expect_float,
-            "fairness_weight": _expect_float,
-            "saturation_inflation": _expect_float,
-            "use_peak": _expect_bool,
+            "window_length": int,
+            "idle_penalty": float,
+            "fairness_weight": float,
+            "saturation_inflation": float,
+            "use_peak": bool,
         },
     ),
     "random_gang": (RandomGangPolicy, {}),
+    "oracle": (OraclePolicy, {"true_rates": dict[str, float]}),
 }
-
-_COMMON_POLICY_FIELDS: dict[str, Callable[[Any, str], Any]] = {
-    "bus_capacity_txus": _expect_float,
-    "fitness_scale": _expect_float,
-    "incremental": _expect_bool,
-}
+_POLICY_NAMES = {cls: name for name, (cls, _) in _POLICIES.items()}
+_COMMON_POLICY_FIELDS = {"bus_capacity_txus": float, "fitness_scale": float, "incremental": bool}
 
 
 def scheduler_from_json(payload: Any, path: str = "scheduler") -> str | BandwidthPolicy:
     """Decode a scheduler: a kernel name string or a policy object."""
     if isinstance(payload, str):
         if payload not in _KERNEL_SCHEDULERS:
-            _fail(
+            fail(
                 path,
                 f"unknown scheduler {payload!r}; expected one of "
                 f"{', '.join(_KERNEL_SCHEDULERS)} or a policy object "
                 f"{{'policy': ...}}",
             )
         return payload
-    payload = _expect_dict(payload, path)
-    name = _expect_str(_get(payload, "policy", path), f"{path}.policy")
-    if name == "oracle":
-        _reject_unknown(payload, {"policy", "true_rates"} | set(_COMMON_POLICY_FIELDS), path)
-        rates = _expect_dict(_get(payload, "true_rates", path), f"{path}.true_rates")
-        true_rates = {
-            _expect_str(k, f"{path}.true_rates"): _expect_float(v, f"{path}.true_rates[{k!r}]")
-            for k, v in rates.items()
-        }
-        kwargs: dict[str, Any] = {"true_rates": true_rates}
-        extras: dict[str, Callable[[Any, str], Any]] = {}
-    elif name in _POLICIES:
-        factory, extras = _POLICIES[name]
-        _reject_unknown(payload, {"policy"} | set(extras) | set(_COMMON_POLICY_FIELDS), path)
-        kwargs = {}
-    else:
-        _fail(
+    payload = expect_dict(payload, path)
+    name = expect_str(_get(payload, "policy", path), f"{path}.policy")
+    if name not in _POLICIES:
+        fail(
             f"{path}.policy",
-            f"unknown policy {name!r}; expected one of "
-            f"{', '.join(sorted([*_POLICIES, 'oracle']))}",
+            f"unknown policy {name!r}; expected one of {', '.join(sorted(_POLICIES))}",
         )
-    for key, decode in {**extras, **_COMMON_POLICY_FIELDS}.items():
-        if key in payload:
-            kwargs[key] = decode(payload[key], f"{path}.{key}")
-    factory = OraclePolicy if name == "oracle" else _POLICIES[name][0]
-    return _build(factory, kwargs, path)
+    factory, extras = _POLICIES[name]
+    fields = {**extras, **_COMMON_POLICY_FIELDS}
+    reject_unknown(payload, ["policy", *fields], path)
+    if name == "oracle" and "true_rates" not in payload:
+        fail(path, "missing required field 'true_rates'")
+    kwargs = {
+        k: _CODEC.from_json(hint, payload[k], f"{path}.{k}")
+        for k, hint in fields.items()
+        if k in payload
+    }
+    return build(factory, kwargs, path)
 
 
 def scheduler_to_json(scheduler: str | BandwidthPolicy) -> str | dict[str, Any]:
@@ -477,413 +259,105 @@ def scheduler_to_json(scheduler: str | BandwidthPolicy) -> str | dict[str, Any]:
             "a policy with a custom fitness_fn has no wire format; "
             "submit fitness_scale-configured Equation-1 policies instead"
         )
-    out: dict[str, Any] = {
-        "bus_capacity_txus": scheduler.bus_capacity_txus,
-        "fitness_scale": scheduler._fitness_scale,
-        "incremental": scheduler.incremental,
-    }
-    if isinstance(scheduler, ModelDrivenPolicy):
-        out.update(
-            policy="model_driven",
-            window_length=scheduler.window_length,
-            idle_penalty=scheduler.idle_penalty,
-            fairness_weight=scheduler.fairness_weight,
-            saturation_inflation=scheduler.saturation_inflation,
-            use_peak=scheduler.use_peak,
-        )
-    elif isinstance(scheduler, QuantaWindowPolicy):
-        out.update(policy="quanta_window", window_length=scheduler.window_length)
-    elif isinstance(scheduler, LatestQuantumPolicy):
-        out["policy"] = "latest_quantum"
-    elif isinstance(scheduler, EwmaPolicy):
-        out.update(policy="ewma", alpha=scheduler.alpha)
-    elif isinstance(scheduler, OraclePolicy):
-        out.update(policy="oracle", true_rates=dict(sorted(scheduler._true.items())))
-    elif isinstance(scheduler, RandomGangPolicy):
-        out["policy"] = "random_gang"
-    else:
+    name = next((_POLICY_NAMES[c] for c in type(scheduler).__mro__ if c in _POLICY_NAMES), None)
+    if name is None:
         raise ConfigError(
             f"cannot serialize policy {type(scheduler).__name__}; "
             "only the built-in policies have a wire format"
         )
-    return out
-
-
-# --------------------------------------------------------------------------- config dataclasses
-
-
-def _config_from_dict(factory: type, payload: Any, path: str) -> Any:
-    """Decode a flat frozen-dataclass config (BusConfig, ManagerConfig, ...)."""
-    payload = _expect_dict(payload, path)
-    fields = {f.name for f in factory.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-    _reject_unknown(payload, fields, path)
-    return _build(factory, dict(payload), path)
-
-
-def machine_from_dict(payload: Any, path: str = "machine") -> MachineConfig:
-    """Decode a machine config with its nested bus/cache sections."""
-    payload = _expect_dict(payload, path)
-    _reject_unknown(payload, {"n_cpus", "smt_ways", "smt_efficiency", "bus", "cache"}, path)
-    kwargs: dict[str, Any] = {
-        key: payload[key]
-        for key in ("n_cpus", "smt_ways", "smt_efficiency")
-        if key in payload
+    out: dict[str, Any] = {
+        "policy": name,
+        "bus_capacity_txus": scheduler.bus_capacity_txus,
+        "fitness_scale": scheduler._fitness_scale,
+        "incremental": scheduler.incremental,
     }
-    if "bus" in payload:
-        kwargs["bus"] = _config_from_dict(BusConfig, payload["bus"], f"{path}.bus")
-    if "cache" in payload:
-        kwargs["cache"] = _config_from_dict(CacheConfig, payload["cache"], f"{path}.cache")
-    return _build(MachineConfig, kwargs, path)
-
-
-# --------------------------------------------------------------------------- dynamic workloads
-
-
-def arrivals_from_dict(payload: Any, path: str) -> ArrivalProcess:
-    """Decode a kind-tagged arrival process."""
-    payload = _expect_dict(payload, path)
-    kind = _expect_str(_get(payload, "kind", path), f"{path}.kind")
-    if kind == "poisson":
-        _reject_unknown(payload, {"kind", "rate_per_s"}, path)
-        return _build(
-            PoissonArrivals,
-            {"rate_per_s": _expect_float(_get(payload, "rate_per_s", path), f"{path}.rate_per_s")},
-            path,
-        )
-    if kind == "mmpp":
-        known = {"kind", "rate_low_per_s", "rate_high_per_s", "mean_low_s", "mean_high_s"}
-        _reject_unknown(payload, known, path)
-        kwargs = {
-            key: _expect_float(payload[key], f"{path}.{key}")
-            for key in known - {"kind"}
-            if key in payload
-        }
-        for required in ("rate_low_per_s", "rate_high_per_s"):
-            if required not in kwargs:
-                _fail(path, f"missing required field {required!r}")
-        return _build(MMPPBurstyArrivals, kwargs, path)
-    if kind == "trace":
-        _reject_unknown(payload, {"kind", "times_us"}, path)
-        times = _expect_list(_get(payload, "times_us", path), f"{path}.times_us")
-        return _build(
-            TraceArrivals,
-            {"times_us": tuple(_expect_float(t, f"{path}.times_us[{i}]") for i, t in enumerate(times))},
-            path,
-        )
-    if kind == "shaped":
-        _reject_unknown(payload, {"kind", "base", "shape"}, path)
-        base = arrivals_from_dict(_get(payload, "base", path), f"{path}.base")
-        shape = rate_shape_from_dict(_get(payload, "shape", path), f"{path}.shape")
-        return _build(ShapedArrivals, {"base": base, "shape": shape}, path)
-    _fail(
-        f"{path}.kind",
-        f"unknown arrival kind {kind!r}; expected poisson, mmpp, trace or shaped",
-    )
-
-
-def rate_shape_from_dict(payload: Any, path: str) -> RateShape:
-    """Decode a kind-tagged rate envelope."""
-    payload = _expect_dict(payload, path)
-    kind = _expect_str(_get(payload, "kind", path), f"{path}.kind")
-    if kind == "diurnal":
-        known = {"kind", "period_s", "amplitude", "phase"}
-        _reject_unknown(payload, known, path)
-        kwargs = {
-            key: _expect_float(payload[key], f"{path}.{key}")
-            for key in known - {"kind"}
-            if key in payload
-        }
-        return _build(DiurnalShape, kwargs, path)
-    if kind == "flash":
-        known = {"kind", "at_s", "duration_s", "magnitude"}
-        _reject_unknown(payload, known, path)
-        kwargs = {
-            key: _expect_float(payload[key], f"{path}.{key}")
-            for key in known - {"kind"}
-            if key in payload
-        }
-        for required in ("at_s", "duration_s", "magnitude"):
-            if required not in kwargs:
-                _fail(path, f"missing required field {required!r}")
-        return _build(FlashCrowdShape, kwargs, path)
-    _fail(f"{path}.kind", f"unknown rate-shape kind {kind!r}; expected diurnal or flash")
-
-
-def rate_shape_to_dict(shape: RateShape) -> dict[str, Any]:
-    """Encode a rate envelope."""
-    if isinstance(shape, DiurnalShape):
-        return {
-            "kind": "diurnal",
-            "period_s": shape.period_s,
-            "amplitude": shape.amplitude,
-            "phase": shape.phase,
-        }
-    if isinstance(shape, FlashCrowdShape):
-        return {
-            "kind": "flash",
-            "at_s": shape.at_s,
-            "duration_s": shape.duration_s,
-            "magnitude": shape.magnitude,
-        }
-    raise ConfigError(f"cannot serialize rate shape {type(shape).__name__}")
-
-
-def arrivals_to_dict(arrivals: ArrivalProcess) -> dict[str, Any]:
-    """Encode an arrival process."""
-    if isinstance(arrivals, ShapedArrivals):
-        return {
-            "kind": "shaped",
-            "base": arrivals_to_dict(arrivals.base),
-            "shape": rate_shape_to_dict(arrivals.shape),
-        }
-    if isinstance(arrivals, PoissonArrivals):
-        return {"kind": "poisson", "rate_per_s": arrivals.rate_per_s}
-    if isinstance(arrivals, MMPPBurstyArrivals):
-        return {
-            "kind": "mmpp",
-            "rate_low_per_s": arrivals.rate_low_per_s,
-            "rate_high_per_s": arrivals.rate_high_per_s,
-            "mean_low_s": arrivals.mean_low_s,
-            "mean_high_s": arrivals.mean_high_s,
-        }
-    if isinstance(arrivals, TraceArrivals):
-        return {"kind": "trace", "times_us": list(arrivals.times_us)}
-    raise ConfigError(f"cannot serialize arrival process {type(arrivals).__name__}")
-
-
-#: Skewed/correlated mix families: kind → (factory, extra-field decoders).
-_MIX_KINDS: dict[str, tuple[type, dict[str, Callable[[Any, str], Any]]]] = {
-    "weighted": (JobMix, {}),
-    "zipfian": (ZipfianMix, {"exponent": _expect_float}),
-    "hotspot": (HotspotMix, {"hot_fraction": _expect_float, "hot_index": _expect_int}),
-    "sequential": (SequentialMix, {"run_length": _expect_int}),
-    "bursty": (BurstyMix, {"mean_run_length": _expect_float}),
-}
-
-
-def job_mix_from_dict(payload: Any, path: str) -> JobMix:
-    """Decode a job mix: explicit entries or a ``{"paper": [...]}`` palette.
-
-    An optional ``kind`` tag (plus its parameters) selects a skewed or
-    correlated family over the same palette; absent, the mix is the plain
-    weighted one — keeping the pre-family wire format (and its spec
-    hashes) byte-identical.
-    """
-    payload = _expect_dict(payload, path)
-    kind = "weighted"
-    if "kind" in payload:
-        kind = _expect_str(payload["kind"], f"{path}.kind")
-        if kind not in _MIX_KINDS:
-            _fail(
-                f"{path}.kind",
-                f"unknown mix kind {kind!r}; expected one of {', '.join(sorted(_MIX_KINDS))}",
-            )
-    factory, params = _MIX_KINDS[kind]
-    if "paper" in payload:
-        _reject_unknown(payload, {"kind", "paper", "work_scale"} | set(params), path)
-        names = [
-            _expect_str(n, f"{path}.paper[{i}]")
-            for i, n in enumerate(_expect_list(payload["paper"], f"{path}.paper"))
-        ]
-        scale = _expect_float(payload.get("work_scale", 1.0), f"{path}.work_scale")
-        try:
-            entries = paper_mix(names, work_scale=scale).entries
-        except (ConfigError, WorkloadError, KeyError) as exc:
-            _fail(f"{path}.paper", str(exc))
+    if name == "oracle":
+        out["true_rates"] = dict(sorted(scheduler._true.items()))
     else:
-        _reject_unknown(payload, {"kind", "entries"} | set(params), path)
-        raw = _expect_list(_get(payload, "entries", path), f"{path}.entries")
-        decoded = []
-        for i, entry in enumerate(raw):
-            entry = _expect_list(entry, f"{path}.entries[{i}]")
-            if len(entry) != 2:
-                _fail(f"{path}.entries[{i}]", "expected a [app_spec, weight] pair")
-            decoded.append(
-                (
-                    app_spec_from_dict(entry[0], f"{path}.entries[{i}][0]"),
-                    _expect_float(entry[1], f"{path}.entries[{i}][1]"),
-                )
-            )
-        entries = tuple(decoded)
-    kwargs: dict[str, Any] = {"entries": entries}
-    for key, decode in params.items():
-        if key in payload:
-            kwargs[key] = decode(payload[key], f"{path}.{key}")
-    return _build(factory, kwargs, path)
-
-
-def job_mix_to_dict(mix: JobMix) -> dict[str, Any]:
-    """Encode a job mix with inline application specs.
-
-    Plain weighted mixes keep the bare ``{"entries": ...}`` form so
-    existing spec hashes are unchanged; the mix families add their
-    ``kind`` tag and parameters.
-    """
-    out: dict[str, Any] = {"entries": [[app_spec_to_dict(s), w] for s, w in mix.entries]}
-    if isinstance(mix, ZipfianMix):
-        out.update(kind="zipfian", exponent=mix.exponent)
-    elif isinstance(mix, HotspotMix):
-        out.update(kind="hotspot", hot_fraction=mix.hot_fraction, hot_index=mix.hot_index)
-    elif isinstance(mix, SequentialMix):
-        out.update(kind="sequential", run_length=mix.run_length)
-    elif isinstance(mix, BurstyMix):
-        out.update(kind="bursty", mean_run_length=mix.mean_run_length)
-    elif type(mix) is not JobMix:
-        raise ConfigError(f"cannot serialize job mix {type(mix).__name__}")
+        out.update((k, getattr(scheduler, k)) for k in _POLICIES[name][1])
     return out
 
 
-_DYNAMIC_SCALARS: dict[str, Callable[[Any, str], Any]] = {
-    "n_jobs": _expect_int,
-    "max_in_service": _expect_int,
-    "poll_period_us": _expect_float,
-    "watchdog_factor": _expect_float,
-    "watchdog_strict": _expect_bool,
-    "warmup_frac": _expect_float,
-    "slowdown_tau_us": _expect_float,
-    "saturation_threshold": _expect_float,
-    "record_jobs": _expect_bool,
-}
+# --------------------------------------------------------------------------- the codec
 
+_CODEC = Codec(
+    families={
+        DemandPattern: Family("pattern", {
+            "constant": ConstantPattern,
+            "phased": PhasedPattern,
+            "markov": MarkovBurstPattern,
+            "jitter": JitterPattern,
+            "trace": TracePattern,
+        }),
+        ArrivalProcess: Family("arrival", {
+            "poisson": PoissonArrivals,
+            "mmpp": MMPPBurstyArrivals,
+            "trace": TraceArrivals,
+            "shaped": ShapedArrivals,
+        }),
+        RateShape: Family("rate-shape", {"diurnal": DiurnalShape, "flash": FlashCrowdShape}),
+        # A plain weighted mix travels untagged, keeping the wire format
+        # (and the spec hashes) it had before the other families existed.
+        JobMix: Family("mix", {
+            "weighted": JobMix,
+            "zipfian": ZipfianMix,
+            "hotspot": HotspotMix,
+            "sequential": SequentialMix,
+            "bursty": BurstyMix,
+        }, untagged="weighted"),
+    },
+    decoders={
+        ApplicationSpec: app_spec_from_dict,
+        JobMix: job_mix_from_dict,
+        str | BandwidthPolicy: scheduler_from_json,
+    },
+    encoders={BandwidthPolicy: scheduler_to_json},
+    names=(AuditReport, DynamicStats, FaultStats),
+)
 
-def dynamic_from_dict(payload: Any, path: str = "dynamic") -> DynamicWorkload:
-    """Decode an open-system workload description."""
-    payload = _expect_dict(payload, path)
-    known = {"arrivals", "mix", "queue_capacity"} | set(_DYNAMIC_SCALARS)
-    _reject_unknown(payload, known, path)
-    kwargs: dict[str, Any] = {
-        "arrivals": arrivals_from_dict(_get(payload, "arrivals", path), f"{path}.arrivals"),
-        "mix": job_mix_from_dict(_get(payload, "mix", path), f"{path}.mix"),
-    }
-    if "queue_capacity" in payload:
-        cap = payload["queue_capacity"]
-        kwargs["queue_capacity"] = None if cap is None else _expect_int(cap, f"{path}.queue_capacity")
-    for key, decode in _DYNAMIC_SCALARS.items():
-        if key in payload:
-            kwargs[key] = decode(payload[key], f"{path}.{key}")
-    return _build(DynamicWorkload, kwargs, path)
-
-
-def dynamic_to_dict(workload: DynamicWorkload) -> dict[str, Any]:
-    """Encode an open-system workload description."""
-    return {
-        "arrivals": arrivals_to_dict(workload.arrivals),
-        "mix": job_mix_to_dict(workload.mix),
-        "n_jobs": workload.n_jobs,
-        "max_in_service": workload.max_in_service,
-        "queue_capacity": workload.queue_capacity,
-        "poll_period_us": workload.poll_period_us,
-        "watchdog_factor": workload.watchdog_factor,
-        "watchdog_strict": workload.watchdog_strict,
-        "warmup_frac": workload.warmup_frac,
-        "slowdown_tau_us": workload.slowdown_tau_us,
-        "saturation_threshold": workload.saturation_threshold,
-        "record_jobs": workload.record_jobs,
-    }
+job_mix_to_dict = arrivals_to_dict = _CODEC.to_json
+arrivals_from_dict = partial(_CODEC.from_json, ArrivalProcess)
 
 
 # --------------------------------------------------------------------------- simulation specs
 
-_SPEC_FIELDS = {
-    "targets", "background", "scheduler", "kernel", "machine", "manager", "linux",
-    "seed", "max_time_us", "dedicated_migration_interval_us", "trace",
-    "timeline_period_us", "arrivals", "profile", "dynamic", "audit", "faults",
-}
-
-
-def _seed(value: Any, path: str) -> int:
-    # np.random.default_rng rejects negative seeds only at run time;
-    # catch it at submission so the client gets a 400, not a failed run.
-    seed = _expect_int(value, path)
-    if seed < 0:
-        _fail(path, f"seed must be non-negative, got {seed}")
-    return seed
+#: Pure-observability spec flags left out of the spec hash.
+_UNHASHED = ("profile", "audit")
 
 
 def spec_from_dict(payload: Any, path: str = "spec") -> SimulationSpec:
     """Decode and fully validate a :class:`SimulationSpec` payload."""
-    payload = _expect_dict(payload, path)
-    _reject_unknown(payload, _SPEC_FIELDS, path)
-
-    targets = [
-        app_spec_from_dict(t, f"{path}.targets[{i}]")
-        for i, t in enumerate(_expect_list(payload.get("targets", []), f"{path}.targets"))
-    ]
-    background = [
-        app_spec_from_dict(b, f"{path}.background[{i}]")
-        for i, b in enumerate(_expect_list(payload.get("background", []), f"{path}.background"))
-    ]
-    arrivals = []
-    for i, entry in enumerate(_expect_list(payload.get("arrivals", []), f"{path}.arrivals")):
-        entry = _expect_list(entry, f"{path}.arrivals[{i}]")
-        if len(entry) != 2:
-            _fail(f"{path}.arrivals[{i}]", "expected a [time_us, app_spec] pair")
-        at_us = _expect_float(entry[0], f"{path}.arrivals[{i}][0]")
-        if at_us < 0:
-            _fail(f"{path}.arrivals[{i}][0]", f"arrival time must be non-negative, got {at_us}")
-        arrivals.append((at_us, app_spec_from_dict(entry[1], f"{path}.arrivals[{i}][1]")))
-
-    dynamic = payload.get("dynamic")
-    if not targets and not arrivals and dynamic is None:
-        _fail(
+    payload = expect_dict(payload, path)
+    kwargs = _CODEC.decode_fields(SimulationSpec, {"targets": [], **payload}, path)
+    if not kwargs["targets"] and not kwargs.get("arrivals") and kwargs.get("dynamic") is None:
+        fail(
             f"{path}.targets",
             "a simulation needs at least one target application "
             "(or 'arrivals' / a 'dynamic' workload)",
         )
-
-    kernel = _expect_str(payload.get("kernel", "linux"), f"{path}.kernel")
-    if kernel not in ("linux", "linux26"):
-        _fail(f"{path}.kernel", f"unknown kernel substrate {kernel!r}; expected linux or linux26")
-
-    migration = payload.get("dedicated_migration_interval_us")
-    timeline = payload.get("timeline_period_us")
-    faults = payload.get("faults")
-    kwargs: dict[str, Any] = {
-        "targets": targets,
-        "background": background,
-        "scheduler": scheduler_from_json(payload.get("scheduler", "linux"), f"{path}.scheduler"),
-        "kernel": kernel,
-        "machine": (
-            machine_from_dict(payload["machine"], f"{path}.machine")
-            if "machine" in payload else MachineConfig()
-        ),
-        "manager": (
-            _config_from_dict(ManagerConfig, payload["manager"], f"{path}.manager")
-            if "manager" in payload else ManagerConfig()
-        ),
-        "linux": (
-            _config_from_dict(LinuxSchedConfig, payload["linux"], f"{path}.linux")
-            if "linux" in payload else LinuxSchedConfig()
-        ),
-        "seed": _seed(payload.get("seed", 42), f"{path}.seed"),
-        "max_time_us": _expect_float(payload.get("max_time_us", SimulationSpec.__dataclass_fields__["max_time_us"].default), f"{path}.max_time_us"),
-        "dedicated_migration_interval_us": (
-            None if migration is None
-            else _expect_float(migration, f"{path}.dedicated_migration_interval_us")
-        ),
-        "trace": _expect_bool(payload.get("trace", True), f"{path}.trace"),
-        "timeline_period_us": (
-            None if timeline is None else _expect_float(timeline, f"{path}.timeline_period_us")
-        ),
-        "arrivals": arrivals,
-        "profile": _expect_bool(payload.get("profile", False), f"{path}.profile"),
-        "dynamic": None if dynamic is None else dynamic_from_dict(dynamic, f"{path}.dynamic"),
-        "audit": _expect_bool(payload.get("audit", False), f"{path}.audit"),
-        "faults": (
-            None if faults is None else _config_from_dict(FaultPlan, faults, f"{path}.faults")
-        ),
-    }
-    spec = _build(SimulationSpec, kwargs, path)
+    if kwargs.get("kernel", "linux") not in ("linux", "linux26"):
+        fail(
+            f"{path}.kernel",
+            f"unknown kernel substrate {kwargs['kernel']!r}; expected linux or linux26",
+        )
+    # np.random.default_rng rejects negative seeds only at run time;
+    # catch it at submission so the client gets a 400, not a failed run.
+    if kwargs.get("seed", 0) < 0:
+        fail(f"{path}.seed", f"seed must be non-negative, got {kwargs['seed']}")
+    for i, (at_us, _) in enumerate(kwargs.get("arrivals", ())):
+        if at_us < 0:
+            fail(f"{path}.arrivals[{i}][0]", f"arrival time must be non-negative, got {at_us}")
+    spec = build(SimulationSpec, kwargs, path)
     # Cross-field rules _build() would only hit at run time — check now so
     # the submitter gets a 400, not a failed run.
     if (spec.arrivals or spec.dynamic is not None) and spec.scheduler in ("dedicated", "gang"):
-        _fail(
+        fail(
             f"{path}.scheduler",
             f"dynamic arrivals need a time-sharing scheduler; "
             f"{spec.scheduler!r} has a static job set",
         )
     if spec.faults is not None and spec.faults.enabled and not isinstance(spec.scheduler, BandwidthPolicy):
-        _fail(
+        fail(
             f"{path}.faults",
             "fault injection requires a bandwidth-policy scheduler "
             "(the fault surface only exists under a CPU manager)",
@@ -898,25 +372,16 @@ def spec_to_dict(spec: SimulationSpec) -> dict[str, Any]:
     materialized), so the dict — not the submitter's partial payload —
     is the substrate of :meth:`SimulationSpec.spec_hash`.
     """
-    return {
-        "targets": [app_spec_to_dict(t) for t in spec.targets],
-        "background": [app_spec_to_dict(b) for b in spec.background],
-        "scheduler": scheduler_to_json(spec.scheduler),
-        "kernel": spec.kernel,
-        "machine": spec.machine.to_dict(),
-        "manager": spec.manager.to_dict(),
-        "linux": spec.linux.to_dict(),
-        "seed": spec.seed,
-        "max_time_us": spec.max_time_us,
-        "dedicated_migration_interval_us": spec.dedicated_migration_interval_us,
-        "trace": spec.trace,
-        "timeline_period_us": spec.timeline_period_us,
-        "arrivals": [[at_us, app_spec_to_dict(s)] for at_us, s in spec.arrivals],
-        "profile": spec.profile,
-        "dynamic": None if spec.dynamic is None else dynamic_to_dict(spec.dynamic),
-        "audit": spec.audit,
-        "faults": None if spec.faults is None else spec.faults.to_dict(),
-    }
+    return _CODEC.to_json(spec)
+
+
+def spec_dict_hash(payload: dict[str, Any]) -> str:
+    """The :meth:`SimulationSpec.spec_hash` of a :func:`spec_to_dict` payload.
+
+    Lets a caller that already holds the encoded spec hash it without
+    encoding it again.
+    """
+    return canonical_hash({k: v for k, v in payload.items() if k not in _UNHASHED})
 
 
 # --------------------------------------------------------------------------- submit requests
@@ -951,75 +416,39 @@ class SubmitRequest:
 
 def parse_submit_request(payload: Any) -> SubmitRequest:
     """Validate a raw JSON submission body into a :class:`SubmitRequest`."""
-    payload = _expect_dict(payload, "request")
-    _reject_unknown(payload, {"spec", "tenant", "label", "no_cache"}, "request")
-    tenant = _expect_str(payload.get("tenant", "default"), "request.tenant")
+    payload = expect_dict(payload, "request")
+    reject_unknown(payload, ("spec", "tenant", "label", "no_cache"), "request")
+    tenant = expect_str(payload.get("tenant", "default"), "request.tenant")
     if not tenant or len(tenant) > _TENANT_MAX:
-        _fail("request.tenant", f"must be 1..{_TENANT_MAX} characters, got {len(tenant)}")
+        fail("request.tenant", f"must be 1..{_TENANT_MAX} characters, got {len(tenant)}")
     label = payload.get("label")
     if label is not None:
-        label = _expect_str(label, "request.label")
+        label = expect_str(label, "request.label")
         if len(label) > _LABEL_MAX:
-            _fail("request.label", f"must be at most {_LABEL_MAX} characters, got {len(label)}")
+            fail("request.label", f"must be at most {_LABEL_MAX} characters, got {len(label)}")
     return SubmitRequest(
         spec=spec_from_dict(_get(payload, "spec", "request"), "request.spec"),
         tenant=tenant,
         label=label,
-        no_cache=_expect_bool(payload.get("no_cache", False), "request.no_cache"),
+        no_cache=_CODEC.from_json(bool, payload.get("no_cache", False), "request.no_cache"),
     )
 
 
 # --------------------------------------------------------------------------- run results
 
 
-def _streaming_to_dict(summary: StreamingSummary | None) -> dict[str, Any] | None:
-    """Encode the streamed queueing summary (flat scalars + quantile pairs)."""
-    if summary is None:
-        return None
-    out = {f: getattr(summary, f) for f in summary.__dataclass_fields__}
-    out["response_quantiles_us"] = [list(p) for p in summary.response_quantiles_us]
-    out["slowdown_quantiles"] = [list(p) for p in summary.slowdown_quantiles]
-    return out
-
-
-def _streaming_from_dict(payload: dict[str, Any] | None) -> StreamingSummary | None:
-    """Decode the streamed queueing summary. Inverse of :func:`_streaming_to_dict`."""
-    if payload is None:
-        return None
-    kwargs = dict(payload)
-    kwargs["response_quantiles_us"] = tuple(
-        (q, v) for q, v in payload["response_quantiles_us"]
-    )
-    kwargs["slowdown_quantiles"] = tuple(
-        (q, v) for q, v in payload["slowdown_quantiles"]
-    )
-    return StreamingSummary(**kwargs)
-
-
-def audit_to_dict(audit: Any) -> dict[str, Any] | None:
+def audit_to_dict(audit: AuditReport | None) -> dict[str, Any] | None:
     """Encode an :class:`~repro.audit.AuditReport` (or ``None``) as JSON.
 
     Shared by :func:`result_to_dict` and the result store's persisted
     ``audit_json`` column (the ``GET /v1/runs/<id>/audit`` body).
     """
-    if audit is None:
-        return None
-    return {
-        "checks": [[name, n] for name, n in audit.checks],
-        "violations": list(audit.violations),
-    }
+    return _CODEC.to_json(audit)
 
 
-def audit_from_dict(payload: dict[str, Any] | None) -> Any:
+def audit_from_dict(payload: dict[str, Any] | None) -> AuditReport | None:
     """Decode :func:`audit_to_dict` output back into an ``AuditReport``."""
-    if payload is None:
-        return None
-    from ..audit.checks import AuditReport
-
-    return AuditReport(
-        checks=tuple((name, n) for name, n in payload["checks"]),
-        violations=tuple(payload["violations"]),
-    )
+    return _CODEC.from_json(AuditReport | None, payload, "audit")
 
 
 def result_to_dict(result: RunResult) -> dict[str, Any]:
@@ -1029,105 +458,9 @@ def result_to_dict(result: RunResult) -> dict[str, Any]:
     equality. Observability fields (solver counters, profile, audit
     summary) are carried for queryability but excluded from equality by
     the dataclass itself."""
-    return {
-        "makespan_us": result.makespan_us,
-        "apps": [
-            {
-                "name": a.name,
-                "app_id": a.app_id,
-                "turnaround_us": a.turnaround_us,
-                "transactions": a.transactions,
-                "run_time_us": a.run_time_us,
-                "work_done_us": a.work_done_us,
-                "migrations": a.migrations,
-                "dispatches": a.dispatches,
-            }
-            for a in result.apps
-        ],
-        "target_names": list(result.target_names),
-        "total_transactions": result.total_transactions,
-        "context_switches": result.context_switches,
-        "migrations": result.migrations,
-        "cpu_idle_us": result.cpu_idle_us,
-        "bus_solve_calls": result.bus_solve_calls,
-        "bus_cache_hits": result.bus_cache_hits,
-        "bus_bisection_steps": result.bus_bisection_steps,
-        "bus_shared_hits": result.bus_shared_hits,
-        "bus_warm_starts": result.bus_warm_starts,
-        "solve_skips": result.solve_skips,
-        "lane_rebuilds": result.lane_rebuilds,
-        "profile": result.profile,
-        "audit": audit_to_dict(result.audit),
-        "dynamic": (
-            None if result.dynamic is None
-            else {
-                "jobs": [
-                    {
-                        "index": j.index,
-                        "name": j.name,
-                        "arrival_us": j.arrival_us,
-                        "admit_us": j.admit_us,
-                        "completion_us": j.completion_us,
-                        "nominal_service_us": j.nominal_service_us,
-                        "app_id": j.app_id,
-                    }
-                    for j in result.dynamic.jobs
-                ],
-                "queue_len_time_avg": result.dynamic.queue_len_time_avg,
-                "max_queue_len": result.dynamic.max_queue_len,
-                "dropped": result.dynamic.dropped,
-                "max_starvation_age_us": result.dynamic.max_starvation_age_us,
-                "starvation_bound_us": result.dynamic.starvation_bound_us,
-                "starvation_violations": result.dynamic.starvation_violations,
-                "utilization_time_avg": result.dynamic.utilization_time_avg,
-                "saturated_fraction": result.dynamic.saturated_fraction,
-                "horizon_us": result.dynamic.horizon_us,
-                "streaming": _streaming_to_dict(result.dynamic.streaming),
-            }
-        ),
-        "faults": None if result.faults is None else result.faults.to_dict(),
-    }
+    return _CODEC.to_json(result)
 
 
 def result_from_dict(payload: dict[str, Any]) -> RunResult:
     """Decode a stored :class:`RunResult`. Inverse of :func:`result_to_dict`."""
-    from ..faults.injector import FaultStats
-
-    audit = payload.get("audit")
-    dynamic = payload.get("dynamic")
-    faults = payload.get("faults")
-    return RunResult(
-        makespan_us=payload["makespan_us"],
-        apps=tuple(AppResult(**a) for a in payload["apps"]),
-        target_names=tuple(payload["target_names"]),
-        total_transactions=payload["total_transactions"],
-        context_switches=payload["context_switches"],
-        migrations=payload["migrations"],
-        cpu_idle_us=payload["cpu_idle_us"],
-        bus_solve_calls=payload.get("bus_solve_calls", 0),
-        bus_cache_hits=payload.get("bus_cache_hits", 0),
-        bus_bisection_steps=payload.get("bus_bisection_steps", 0),
-        bus_shared_hits=payload.get("bus_shared_hits", 0),
-        bus_warm_starts=payload.get("bus_warm_starts", 0),
-        solve_skips=payload.get("solve_skips", 0),
-        lane_rebuilds=payload.get("lane_rebuilds", 0),
-        profile=payload.get("profile"),
-        audit=audit_from_dict(audit),
-        dynamic=(
-            None if dynamic is None
-            else DynamicStats(
-                jobs=tuple(JobRecord(**j) for j in dynamic["jobs"]),
-                queue_len_time_avg=dynamic["queue_len_time_avg"],
-                max_queue_len=dynamic["max_queue_len"],
-                dropped=dynamic["dropped"],
-                max_starvation_age_us=dynamic["max_starvation_age_us"],
-                starvation_bound_us=dynamic["starvation_bound_us"],
-                starvation_violations=dynamic["starvation_violations"],
-                utilization_time_avg=dynamic["utilization_time_avg"],
-                saturated_fraction=dynamic["saturated_fraction"],
-                horizon_us=dynamic["horizon_us"],
-                streaming=_streaming_from_dict(dynamic.get("streaming")),
-            )
-        ),
-        faults=None if faults is None else FaultStats(**faults),
-    )
+    return _CODEC.from_json(RunResult, payload, "result")

@@ -16,6 +16,7 @@ a paper figure divides the cumulative rate by the thread count (see
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
@@ -75,8 +76,8 @@ class ApplicationSpec:
     def __post_init__(self) -> None:
         if self.n_threads < 1:
             raise WorkloadError(f"{self.name!r}: need at least one thread")
-        if self.work_per_thread_us <= 0:
-            raise WorkloadError(f"{self.name!r}: work must be positive")
+        if not 0 < self.work_per_thread_us < math.inf:
+            raise WorkloadError(f"{self.name!r}: work must be positive and finite")
         if self.footprint_lines < 0:
             raise WorkloadError(f"{self.name!r}: negative footprint")
         if self.migration_sensitivity < 0:

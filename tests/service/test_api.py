@@ -293,18 +293,3 @@ class TestStatsAndHealth:
         assert stats["store"]["done"] == 1
         assert stats["wall_time"]["executed_runs"] == 1
         assert stats["wall_time"]["max_wall_s"] > 0
-
-
-class TestOptionalFastApiExtra:
-    def test_absent_fastapi_raises_actionable_error(self, service):
-        # The tier-1 environment does not install the [service] extra;
-        # the error must say how to get it or what to use instead.
-        from repro.service.api import create_fastapi_app
-
-        try:
-            import fastapi  # noqa: F401
-        except ImportError:
-            with pytest.raises(RuntimeError, match=r"repro\[service\]"):
-                create_fastapi_app(service)
-        else:  # pragma: no cover - extra installed
-            assert create_fastapi_app(service) is not None

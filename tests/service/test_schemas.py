@@ -329,3 +329,57 @@ class TestStreamingResultCodec:
         text = canonical_json(result_to_dict(result))
         decoded = result_from_dict(json.loads(text))
         assert decoded.dynamic.streaming == result.dynamic.streaming
+
+
+class TestTypedConfigSections:
+    """Config sections decode through their field types, like every
+    other section: wrong types are 400s with a path, and an int in a
+    float field is the same configuration as its float form."""
+
+    def test_fractional_cpu_count_rejected_with_path(self):
+        payload = _minimal(machine={"n_cpus": 2.5})
+        assert _error_path(payload) == "request.spec.machine.n_cpus"
+
+    def test_bool_capacity_rejected_with_path(self):
+        payload = _minimal(machine={"bus": {"capacity_txus": True}})
+        assert _error_path(payload) == "request.spec.machine.bus.capacity_txus"
+
+    @pytest.mark.parametrize(
+        "section, field, path",
+        [
+            ("manager", {"window_length": 2.0}, "request.spec.manager.window_length"),
+            ("linux", {"tick_us": "10ms"}, "request.spec.linux.tick_us"),
+            ("faults", {"pmc_jitter": None}, "request.spec.faults.pmc_jitter"),
+            ("machine", {"cache": {"line_bytes": 64.0}}, "request.spec.machine.cache.line_bytes"),
+        ],
+    )
+    def test_wrong_types_in_other_sections(self, section, field, path):
+        assert _error_path(_minimal(**{section: field})) == path
+
+    def test_int_and_float_capacity_hash_alike(self):
+        as_int = spec_from_dict(_minimal(machine={"bus": {"capacity_txus": 30}})["spec"])
+        as_float = spec_from_dict(_minimal(machine={"bus": {"capacity_txus": 30.0}})["spec"])
+        assert as_int.machine.bus.capacity_txus == 30.0
+        assert isinstance(as_int.machine.bus.capacity_txus, float)
+        assert as_int.spec_hash() == as_float.spec_hash()
+
+    def test_int_quantum_hashes_like_float_quantum(self):
+        as_int = spec_from_dict(_minimal(manager={"quantum_us": 100_000})["spec"])
+        as_float = spec_from_dict(_minimal(manager={"quantum_us": 100_000.0})["spec"])
+        assert as_int.spec_hash() == as_float.spec_hash()
+
+
+class TestWorkBounds:
+    """Application work must stay positive and finite through every
+    reference form; before, these escaped as 500s."""
+
+    def test_non_positive_microbench_work(self):
+        payload = _minimal(background=[{"microbench": "BBMA", "work_us": -1}])
+        assert _error_path(payload) == "request.spec.background[0].work_us"
+
+    def test_work_scale_overflowing_to_infinity(self):
+        payload = _minimal(targets=[{"app": "CG", "work_scale": 1e308}])
+        assert _error_path(payload) == "request.spec.targets[0].work_scale"
+
+    def test_integer_too_large_for_a_float(self):
+        assert _error_path(_minimal(max_time_us=10**400)) == "request.spec.max_time_us"

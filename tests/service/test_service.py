@@ -43,6 +43,27 @@ def service():
     store.close()
 
 
+class TestSubmitEncoding:
+    def test_submit_encodes_the_spec_once(self, monkeypatch):
+        from repro.service import jobs, schemas
+
+        calls = []
+        encode = schemas.spec_to_dict
+
+        def counting(spec):
+            calls.append(spec)
+            return encode(spec)
+
+        monkeypatch.setattr(schemas, "spec_to_dict", counting)
+        monkeypatch.setattr(jobs, "spec_to_dict", counting)
+        store = ResultStore(":memory:")
+        svc = SimulationService(store, queue_depth=8, jobs=1)
+        accepted = svc.submit(FIG2_PAYLOAD)
+        store.close()
+        assert len(calls) == 1
+        assert accepted["spec_hash"] == spec_from_dict(FIG2_PAYLOAD["spec"]).spec_hash()
+
+
 class TestRoundTripDeterminism:
     def test_stored_result_equals_direct_run(self, service):
         accepted = service.submit(FIG2_PAYLOAD)

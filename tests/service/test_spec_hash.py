@@ -64,6 +64,13 @@ class TestRoundTrip:
         again = spec_from_dict(spec_to_dict(spec))
         assert again.spec_hash() == spec.spec_hash()
 
+    def test_dict_hash_helper_matches_spec_hash(self):
+        from repro.service.schemas import spec_dict_hash
+
+        observed = _spec(profile=True, audit=True)
+        assert spec_dict_hash(spec_to_dict(observed)) == observed.spec_hash()
+        assert observed.spec_hash() == _spec().spec_hash()
+
     def test_hash_is_hex_sha256(self):
         digest = _spec().spec_hash()
         assert len(digest) == 64
