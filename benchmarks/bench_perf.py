@@ -10,10 +10,10 @@ writes ``BENCH_fig2.json``:
 3. **serial / newton + warm start** — ``solver_mode="newton"``: guarded
    Newton root finder seeded from the previous equilibrium;
 4. **parallel / chunked** — the cached grid through ``run_many(jobs=N)``
-   with chunked dispatch and a per-worker shared solve cache.
+   with chunked dispatch.
 
 Alongside wall-clock it records solver-work counters summed over every
-simulation in the grid: ``solve`` invocations, memo/shared cache hits,
+simulation in the grid: ``solve`` invocations, memo cache hits,
 warm starts, and root-finder throughput evaluations — the optimizations'
 job is to make the last number drop. The script asserts the variants agree
 on the figure's actual rows: chunked parallel must match serial *exactly*;
@@ -23,12 +23,15 @@ cache-off and newton must match the cached bisect run to solver tolerance
 The **vectorized** section scales the fig2 workload up to a large SMP
 (default: 256 CPUs, 128 target app instances of Barnes/SP/CG/Raytrace
 plus 128 microbenchmark background apps under the Quanta Window policy)
-and times ``solver_mode="vector"`` + incremental selection against the
-PR 5 state of the art, ``solver_mode="newton"`` + full re-rank selection.
-The two runs must produce *bit-identical* ``RunResult``s — the speedup is
-pure evaluation-order-preserving batching — and the report carries the
-hot-path counters (``batched_lanes``, ``dirty_mask_hits``, the fraction
-of per-job estimates actually re-scored) that prove where the time went.
+and times ``solver_mode="vector"`` + incremental selection on the SoA
+machine path against the PR 5 state of the art, ``solver_mode="newton"``
++ full re-rank selection on the scalar lane loops. The machine picks its
+hot path by CPU count, so the script forces the scalar loops for the
+newton side. The two runs must produce *bit-identical* ``RunResult``s —
+the speedup is pure evaluation-order-preserving batching — and the report
+carries the hot-path counters (``batched_lanes``, ``dirty_mask_hits``, the
+fraction of per-job estimates actually re-scored) that prove where the
+time went.
 
 The **entry_build** section micro-benchmarks the ``_ensure_solution``
 entry build alone — every lane dirtied, solve memoized away — and
@@ -56,10 +59,12 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 import time
+from typing import Iterator
 
 from repro.config import BusConfig, MachineConfig
 from repro.parallel import cgroup_cpu_quota, fork_available, resolve_jobs, usable_cpus
@@ -78,6 +83,19 @@ PRIOR_WALLS = {
     "serial_newton_warm_s": 1.8512,
     "vectorized_s": 0.4482,
 }
+
+
+@contextlib.contextmanager
+def _scalar_machine_path() -> Iterator[None]:
+    """Build every machine inside the block on the scalar lane loops."""
+    from repro.hw import machine
+
+    saved = machine._SOA_MIN_CPUS
+    machine._SOA_MIN_CPUS = sys.maxsize
+    try:
+        yield
+    finally:
+        machine._SOA_MIN_CPUS = saved
 
 
 def _machine(cache: bool, solver: str = "bisect") -> MachineConfig:
@@ -122,14 +140,13 @@ def _run(set_name: str, machine: MachineConfig, jobs: int, scale: float,
         "simulations": len(results),
         "solve_calls": sum(r.bus_solve_calls for r in results),
         "cache_hits": sum(r.bus_cache_hits for r in results),
-        "shared_hits": sum(r.bus_shared_hits for r in results),
         "warm_starts": sum(r.bus_warm_starts for r in results),
         "solver_steps": sum(r.bus_bisection_steps for r in results),
     }
     # Back-compat alias: earlier reports called this "bisection_steps".
     stats["bisection_steps"] = stats["solver_steps"]
     stats["cache_hit_rate"] = (
-        round((stats["cache_hits"] + stats["shared_hits"]) / stats["solve_calls"], 4)
+        round(stats["cache_hits"] / stats["solve_calls"], 4)
         if stats["solve_calls"]
         else 0.0
     )
@@ -193,7 +210,7 @@ def _best_of(reps: int, make_spec, run):
 
 def _vector_benchmark(n_cpus: int, inst: int, scale: float, seed: int,
                       reps: int) -> dict:
-    """Time vector+incremental against newton+full-rerank, bit-for-bit."""
+    """Time vector+incremental+SoA against newton+full-rerank+scalar."""
     from repro.experiments.base import run_simulation
 
     def newton_spec():
@@ -202,7 +219,8 @@ def _vector_benchmark(n_cpus: int, inst: int, scale: float, seed: int,
     def vector_spec():
         return _scaled_spec("vector", True, n_cpus, inst, scale, seed)
 
-    t_newton, r_newton = _best_of(reps, newton_spec, run_simulation)
+    with _scalar_machine_path():
+        t_newton, r_newton = _best_of(reps, newton_spec, run_simulation)
     t_vector, r_vector = _best_of(reps, vector_spec, run_simulation)
     identical = r_newton == r_vector
     assert identical, "vectorized hot path diverged from the newton reference"
@@ -266,9 +284,10 @@ def _vector_benchmark(n_cpus: int, inst: int, scale: float, seed: int,
 def _entry_build_benchmark(n_lanes: int, reps: int = 3) -> dict:
     """Micro-benchmark: ``_ensure_solution`` entry build, µs per 1k dirty lanes.
 
-    Builds a fully-occupied ``n_lanes``-CPU machine in each solver mode,
-    then repeatedly invalidates the lane signature (so every lane is
-    dirty and the skip path cannot fire) and rebuilds. The bus solve
+    Builds a fully-occupied ``n_lanes``-CPU machine in each solver mode —
+    newton forced onto the scalar lane loops, vector on the SoA path the
+    machine size selects — then repeatedly invalidates the lane signature
+    (so every lane is dirty and the skip path cannot fire) and rebuilds. The bus solve
     itself is memoized after the first iteration — identical rates hit
     the solve cache — so the loop isolates exactly the per-lane entry
     construction the SoA store batches: demand-segment lookup, debt/fill
@@ -312,7 +331,9 @@ def _entry_build_benchmark(n_lanes: int, reps: int = 3) -> dict:
         ("newton", "scalar_us_per_1k_lanes"),
         ("vector", "soa_us_per_1k_lanes"),
     ):
-        machine = build(mode)
+        scalar = mode == "newton"
+        with _scalar_machine_path() if scalar else contextlib.nullcontext():
+            machine = build(mode)
         best = float("inf")
         for _ in range(reps):
             start = time.perf_counter()

@@ -199,8 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "bus solver mode override for 'fig2' and 'table1' (default: the "
             "MachineConfig default); all three modes produce equivalent "
-            "physics — 'vector' additionally arms the numpy-batched settle "
-            "path and is bit-identical to 'newton' (see DESIGN.md)"
+            "physics — 'vector' batches the root finder into numpy kernels "
+            "and is bit-identical to 'newton' (see DESIGN.md)"
         ),
     )
     parser.add_argument(
@@ -250,7 +250,7 @@ def _print_profile() -> None:
         print("[profile: no data collected]", file=sys.stderr)
         return
     solve_calls = agg.get("solve_calls", 0.0)
-    hits = agg.get("solve_cache_hits", 0.0) + agg.get("solve_shared_hits", 0.0)
+    hits = agg.get("solve_cache_hits", 0.0)
     hit_rate = hits / solve_calls if solve_calls else 0.0
     settles = agg.get("settle_calls", 0.0)
     skip_rate = agg.get("solve_skips", 0.0) / settles if settles else 0.0

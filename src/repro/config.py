@@ -135,9 +135,9 @@ class BusConfig:
         expressions with sequential (``cumsum``) reductions, so vector
         mode is *bitwise identical* to newton mode
         (``tests/hw/test_bus_vector.py``) — it is the fast path, newton
-        the scalar A/B reference. Selecting vector mode also arms the
-        vectorized settle loop and dirty-mask entry reuse in
-        :class:`repro.hw.machine.Machine`.
+        the scalar A/B reference. The mode picks only the root finder:
+        which settle loop :class:`repro.hw.machine.Machine` runs depends
+        on the machine's logical CPU count, not on this field.
     solve_cache_size:
         Capacity (entries) of the LRU memo cache inside
         :meth:`repro.hw.bus.BusModel.solve`, keyed on the canonicalized

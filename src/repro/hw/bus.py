@@ -89,19 +89,8 @@ identical grants under both arbitration models, so the match is exact).
 Hit/miss accounting is surfaced via :attr:`BusModel.solve_calls`,
 :attr:`BusModel.cache_hits` and :attr:`BusModel.bisection_steps` (which
 counts throughput evaluations in *both* solver modes) for the performance
-harness (``benchmarks/bench_perf.py``).
-
-A second, process-wide cache layer — the *shared solve cache* — can be
-installed with :func:`install_shared_solve_cache`. The chunked parallel
-dispatcher (:func:`repro.parallel.run_many`) installs one per worker chunk
-so consecutive simulations of the same experiment grid reuse each other's
-equilibria. Entries are keyed by the full :class:`~repro.config.BusConfig`
-plus the *ordered* request sequence, and only the default ``"bisect"``
-mode participates: an exact-order bisect solve is a pure function of
-(config, requests), so a shared hit is bitwise identical to the solve it
-replaces — results stay bit-identical no matter how specs are chunked.
-(The newton mode's warm start makes its last-ulp output depend on the
-model's solve history, so it never reads or writes the shared layer.)
+harness (``benchmarks/bench_perf.py``). The memo belongs to one model, so
+a run's solves never depend on what other runs in the same process did.
 """
 
 from __future__ import annotations
@@ -122,11 +111,7 @@ __all__ = [
     "ThreadGrant",
     "BusSolution",
     "BusModel",
-    "SharedSolveCache",
     "derive_mem_fraction",
-    "install_shared_solve_cache",
-    "clear_shared_solve_cache",
-    "shared_solve_cache",
 ]
 
 #: Decimal places of the solve-cache key quantization. Exact matching on
@@ -139,50 +124,6 @@ _CACHE_DECIMALS = 12
 #: this, per-call array construction costs more than the scalar loop it
 #: replaces; the scalar newton path runs instead (bit-equal either way).
 _VECTOR_MIN_LANES = 4
-
-
-class SharedSolveCache:
-    """Process-wide cross-run solve memo (see module docstring).
-
-    Entries map ``(BusConfig, ordered quantized request sequence)`` to a
-    ``(solution, grant_map)`` pair. Hits require the *exact* request order
-    of the original solve: the bisection sums floats in request order, so
-    only same-order replays are guaranteed bitwise identical to a fresh
-    computation. Permuted recurrences still hit each model's local LRU.
-    """
-
-    __slots__ = ("data", "size", "hits", "stores")
-
-    def __init__(self, size: int = 8192) -> None:
-        if size <= 0:
-            raise ValueError(f"shared cache size must be positive, got {size}")
-        self.data: OrderedDict[tuple, tuple[BusSolution, dict]] = OrderedDict()
-        self.size = size
-        self.hits = 0
-        self.stores = 0
-
-
-#: The ambient shared cache consulted by every BusModel in this process
-#: (``None`` = layer disabled, the default outside chunked workers).
-_SHARED_CACHE: SharedSolveCache | None = None
-
-
-def install_shared_solve_cache(size: int = 8192) -> SharedSolveCache:
-    """Install (replacing any previous) the process-wide solve cache."""
-    global _SHARED_CACHE
-    _SHARED_CACHE = SharedSolveCache(size)
-    return _SHARED_CACHE
-
-
-def clear_shared_solve_cache() -> None:
-    """Remove the process-wide solve cache (models fall back to local LRUs)."""
-    global _SHARED_CACHE
-    _SHARED_CACHE = None
-
-
-def shared_solve_cache() -> SharedSolveCache | None:
-    """The currently installed process-wide solve cache, if any."""
-    return _SHARED_CACHE
 
 
 def derive_mem_fraction(rate_txus: float, lam0_us: float, mem_exponent: float = 0.65) -> float:
@@ -327,9 +268,9 @@ class BusModel:
         self._alpha = config.mem_exponent
         self._tol = config.fixed_point_tol
         # "vector" is the newton iteration with batched lane evaluation:
-        # it shares the warm-start slot, the shared-cache exclusion and the
-        # saturation search; only the per-lane arithmetic differs (numpy
-        # kernels, bitwise identical — see module docstring).
+        # it shares the warm-start slot and the saturation search; only the
+        # per-lane arithmetic differs (numpy kernels, bitwise identical —
+        # see module docstring).
         self._newton = config.solver_mode in ("newton", "vector")
         self._vector = config.solver_mode == "vector"
         # Warm-start slot: the previous *saturated* equilibrium latency of
@@ -339,15 +280,11 @@ class BusModel:
         self._last_lam: float | None = None
         self._solve_calls = 0
         self._cache_hits = 0
-        self._shared_hits = 0
         self._warm_starts = 0
         self._bisection_steps = 0
         self._batched_lanes = 0
         self._solve_time_s = 0.0
         self._profiling = False
-        # Only the bisect mode may use the cross-run shared cache: its
-        # solve is a pure function of (config, ordered requests).
-        self._shared_ok = not self._newton and config.solve_cache_size > 0
         # solve() memo: canonical multiset key -> (key sequence in the
         # miss's request order, solution, quantized request -> grant).
         self._cache: OrderedDict[
@@ -387,11 +324,6 @@ class BusModel:
     def cache_len(self) -> int:
         """Number of solutions currently memoized."""
         return len(self._cache)
-
-    @property
-    def shared_hits(self) -> int:
-        """``solve`` invocations answered from the process-wide shared cache."""
-        return self._shared_hits
 
     @property
     def warm_starts(self) -> int:
@@ -529,19 +461,6 @@ class BusModel:
                     speeds_arr=None,
                     actuals_arr=None,
                 )
-        shared = _SHARED_CACHE if (self._shared_ok and key is not None) else None
-        if shared is not None:
-            skey = (self._cfg, key_seq)
-            sentry = shared.data.get(skey)
-            if sentry is not None:
-                shared.data.move_to_end(skey)
-                shared.hits += 1
-                self._shared_hits += 1
-                solution, grant_map = sentry
-                self._cache[key] = (key_seq, solution, grant_map)
-                if len(self._cache) > self._cache_size:
-                    self._cache.popitem(last=False)
-                return solution
         if self._cfg.arbitration == "max-min":
             solution = self._solve_max_min(requests)
         else:
@@ -553,11 +472,6 @@ class BusModel:
             self._cache[key] = (key_seq, solution, grant_map)
             if len(self._cache) > self._cache_size:
                 self._cache.popitem(last=False)
-            if shared is not None:
-                shared.data[(self._cfg, key_seq)] = (solution, grant_map)
-                shared.stores += 1
-                if len(shared.data) > shared.size:
-                    shared.data.popitem(last=False)
         return solution
 
     # ------------------------------------------------------------------

@@ -112,7 +112,7 @@ class CacheL2:
         are accumulated in the same dict-iteration order as the two
         separate passes of the reference path, so eviction fractions (and
         everything downstream — warmth, rebuild debt) round identically.
-        Used by the machine's vector-mode advance loop where the call
+        Used by the machine's SoA advance loop where the call
         count makes the redundant dict walks show up in profiles.
 
         A steady-state memo makes the common no-op case O(1): once a

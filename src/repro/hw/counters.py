@@ -166,25 +166,6 @@ class CounterBank:
         self._cycles[row] += cycles_us
         self._work[row] += work_us
 
-    def credit_run(
-        self,
-        tid: int,
-        bus_transactions: float,
-        cycles_us: float,
-        work_us: float,
-    ) -> None:
-        """Unchecked :meth:`credit` for the machine's settle loop.
-
-        Skips the registration and negativity checks: the machine only
-        credits lanes it built from registered, dispatched threads, and
-        the increments are products of non-negative rates and a positive
-        ``dt``. A ``KeyError`` here indicates a machine bug, not misuse.
-        """
-        row = self._row[tid]
-        self._tx[row] += bus_transactions
-        self._cycles[row] += cycles_us
-        self._work[row] += work_us
-
     def credit_rows(
         self,
         rows: np.ndarray,
@@ -197,8 +178,8 @@ class CounterBank:
         ``cycles_us`` is the settle interval, common to every lane; the
         per-row transaction/work increments are elementwise products the
         caller already formed. Each fancy-indexed add performs exactly the
-        scalar ``+=`` of :meth:`credit_run` per row, so the stored bits
-        match the per-lane reference loop.
+        scalar ``+=`` of :meth:`credit` per row, without its checks, so the
+        stored bits match the per-lane reference loop.
         """
         self._tx[rows] += bus_transactions
         self._cycles[rows] += cycles_us

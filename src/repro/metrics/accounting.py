@@ -91,9 +91,11 @@ class RunResult:
         ``BusConfig.solver_mode``). The performance harness
         (``benchmarks/bench_perf.py``) sums these across a whole
         experiment grid.
-    bus_shared_hits / bus_warm_starts:
-        Hits served from the process-shared solve cache (chunked parallel
-        dispatch) and Newton searches seeded from the previous equilibrium.
+    bus_shared_hits:
+        Always 0. The process-shared solve cache it counted is gone; the
+        field stays so stored result rows keep decoding.
+    bus_warm_starts:
+        Newton searches seeded from the previous equilibrium.
     solve_skips / lane_rebuilds:
         This run's settle-loop fast-path counters (see
         :attr:`repro.hw.machine.Machine.solve_skips`). Strictly *per run*:
@@ -220,7 +222,6 @@ def collect_run_result(
         bus_solve_calls=machine.bus.solve_calls,
         bus_cache_hits=machine.bus.cache_hits,
         bus_bisection_steps=machine.bus.bisection_steps,
-        bus_shared_hits=machine.bus.shared_hits,
         bus_warm_starts=machine.bus.warm_starts,
         solve_skips=machine.solve_skips,
         lane_rebuilds=machine.lane_rebuilds,

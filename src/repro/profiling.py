@@ -26,8 +26,8 @@ entry rebuild — i.e. the ``demand.segment()`` Python calls the batched
 build avoided. (Before the SoA store it counted whole entries reused from
 a per-CPU dirty-mask cache; the new count measures the same reuse at finer
 grain.) ``batched_lanes``, ``solve_skips``, ``lane_rebuilds`` and the
-``sel_*`` selection counters are unchanged. Scalar solver modes report
-``dirty_mask_hits == 0`` as before.
+``sel_*`` selection counters are unchanged. Machines small enough to run
+the scalar lane loops report ``dirty_mask_hits == 0``.
 
 All profile data is observability, never physics: profiling on or off,
 the simulated trajectories are bit-identical, and profile fields are

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+import sys
+from typing import Iterator
+
 import numpy as np
 import pytest
 
 from repro.config import BusConfig, CacheConfig, LinuxSchedConfig, MachineConfig, ManagerConfig
+import repro.hw.machine as machine_module
 from repro.hw.machine import Machine
 from repro.sim.engine import Engine
 from repro.sim.trace import TraceRecorder
@@ -52,3 +57,23 @@ def quick_linux_config() -> LinuxSchedConfig:
 def tiny_machine_config() -> MachineConfig:
     """A 2-CPU machine for compact scheduling tests."""
     return MachineConfig(n_cpus=2)
+
+
+#: Every solver mode with and without SMT: the scalar and SoA machine
+#: paths must agree bit for bit on each.
+PATH_CASES = [
+    (mode, smt_ways) for mode in ("bisect", "newton", "vector") for smt_ways in (1, 2)
+]
+
+
+@contextlib.contextmanager
+def machine_path(soa: bool) -> Iterator[None]:
+    """Force every Machine built inside the block onto one hot path.
+
+    ``soa=True`` selects the struct-of-arrays pipeline and ``soa=False``
+    the scalar lane loops, whatever the machine size. Forked ``run_many``
+    workers started inside the block inherit the choice.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(machine_module, "_SOA_MIN_CPUS", 1 if soa else sys.maxsize)
+        yield

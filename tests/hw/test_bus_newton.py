@@ -3,8 +3,7 @@
 The `solver_mode="newton"` fast path must produce equilibria that agree
 with the default bisection solver to within the configured fixed-point
 tolerance, on arbitrary workloads — the ISSUE 2 acceptance property.
-Alongside the property tests, this module covers the warm-start counters
-and the process-shared solve cache used by chunked parallel dispatch.
+Alongside the property tests, this module covers the warm-start counters.
 """
 
 import pytest
@@ -13,12 +12,7 @@ from hypothesis import strategies as st
 
 from repro.config import BusConfig
 from repro.errors import ConfigError
-from repro.hw.bus import (
-    BusModel,
-    clear_shared_solve_cache,
-    install_shared_solve_cache,
-    shared_solve_cache,
-)
+from repro.hw.bus import BusModel
 
 _rates = st.floats(min_value=0.0, max_value=60.0, allow_nan=False, allow_infinity=False)
 _request_lists = st.lists(_rates, min_size=1, max_size=10)
@@ -112,55 +106,3 @@ class TestWarmStart:
             bisect.solve([bisect.request_for_rate(r) for r in rates])
         assert bisect.warm_starts == 0
 
-
-class TestSharedSolveCache:
-    def setup_method(self):
-        clear_shared_solve_cache()
-
-    def teardown_method(self):
-        clear_shared_solve_cache()
-
-    def test_not_installed_by_default(self):
-        assert shared_solve_cache() is None
-        bus = BusModel(BusConfig())
-        bus.solve([bus.request_for_rate(20.0)])
-        assert bus.shared_hits == 0
-
-    def test_second_model_hits_shared_entry(self):
-        install_shared_solve_cache()
-        cfg = BusConfig()
-        rates = [31.0, 33.0, 35.0, 37.0]
-        first = BusModel(cfg)
-        sol_a = first.solve([first.request_for_rate(r) for r in rates])
-        second = BusModel(cfg)
-        sol_b = second.solve([second.request_for_rate(r) for r in rates])
-        assert second.shared_hits == 1
-        assert sol_b.latency_us == sol_a.latency_us  # bitwise replay
-        assert sol_b.total_txus == sol_a.total_txus
-
-    def test_different_config_never_shares(self):
-        install_shared_solve_cache()
-        rates = [31.0, 33.0, 35.0]
-        a = BusModel(BusConfig())
-        a.solve([a.request_for_rate(r) for r in rates])
-        b = BusModel(BusConfig(fixed_point_tol=1e-8))
-        b.solve([b.request_for_rate(r) for r in rates])
-        assert b.shared_hits == 0
-
-    def test_newton_mode_skips_shared_cache(self):
-        # Newton results depend on per-model warm-start history, so they
-        # must not be replayed across models.
-        install_shared_solve_cache()
-        rates = [31.0, 33.0, 35.0]
-        a = BusModel(BusConfig(solver_mode="newton"))
-        a.solve([a.request_for_rate(r) for r in rates])
-        b = BusModel(BusConfig(solver_mode="newton"))
-        b.solve([b.request_for_rate(r) for r in rates])
-        assert b.shared_hits == 0
-        assert shared_solve_cache().stores == 0
-
-    def test_install_is_idempotent_per_process_scope(self):
-        cache = install_shared_solve_cache()
-        assert shared_solve_cache() is cache
-        clear_shared_solve_cache()
-        assert shared_solve_cache() is None

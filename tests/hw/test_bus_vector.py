@@ -8,8 +8,7 @@ rounds exactly like the scalar float op, and the reductions are strict
 left-to-right ``cumsum`` folds — so equality below is ``==``, never
 ``approx``. The module also covers the ``batched_lanes`` counter, the
 sub-:data:`_VECTOR_MIN_LANES` scalar fallback, the ``speeds_arr`` /
-``actuals_arr`` plumbing used by the machine's settle path, and the
-shared-cache exclusion the mode inherits from newton.
+``actuals_arr`` plumbing used by the machine's settle path.
 """
 
 import pytest
@@ -17,13 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import BusConfig
-from repro.hw.bus import (
-    _VECTOR_MIN_LANES,
-    BusModel,
-    clear_shared_solve_cache,
-    install_shared_solve_cache,
-    shared_solve_cache,
-)
+from repro.hw.bus import _VECTOR_MIN_LANES, BusModel
 
 _rates = st.floats(min_value=0.0, max_value=60.0, allow_nan=False, allow_infinity=False)
 _request_lists = st.lists(_rates, min_size=1, max_size=10)
@@ -156,23 +149,3 @@ class TestLaneArrays:
         sol_n = newton.solve([newton.request_for_rate(r) for r in rates])
         assert sol_v == sol_n  # despite one carrying arrays, one not
 
-
-class TestSharedCacheExclusion:
-    def setup_method(self):
-        clear_shared_solve_cache()
-
-    def teardown_method(self):
-        clear_shared_solve_cache()
-
-    def test_vector_mode_skips_shared_cache(self):
-        # Like newton, the vector mode's last-ulp output depends on the
-        # model's private warm-start history; replaying across models
-        # would break the per-model bit-identity contract.
-        install_shared_solve_cache()
-        rates = [31.0, 33.0, 35.0, 37.0]
-        a = BusModel(BusConfig(solver_mode="vector"))
-        a.solve([a.request_for_rate(r) for r in rates])
-        b = BusModel(BusConfig(solver_mode="vector"))
-        b.solve([b.request_for_rate(r) for r in rates])
-        assert b.shared_hits == 0
-        assert shared_solve_cache().stores == 0

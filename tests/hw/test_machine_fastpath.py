@@ -13,8 +13,9 @@ import math
 import pytest
 
 from repro.config import BusConfig, MachineConfig
-from repro.hw.machine import Machine
+from repro.hw.machine import _SOA_MIN_CPUS, Machine
 from repro.sim.engine import Engine
+from tests.conftest import PATH_CASES, machine_path
 
 
 class _FlatDemand:
@@ -107,20 +108,17 @@ class TestSettleCounters:
         assert machine.settle_calls == before + 2
 
 
-def _mode_pair(n_cpus: int = 8, smt_ways: int = 1) -> tuple[Machine, Machine]:
-    newton = Machine(
-        MachineConfig(
-            n_cpus=n_cpus, smt_ways=smt_ways, bus=BusConfig(solver_mode="newton")
-        ),
-        Engine(),
-    )
-    vector = Machine(
-        MachineConfig(
-            n_cpus=n_cpus, smt_ways=smt_ways, bus=BusConfig(solver_mode="vector")
-        ),
-        Engine(),
-    )
-    return newton, vector
+def _path_pair(
+    mode: str = "newton", n_cpus: int = 8, smt_ways: int = 1
+) -> tuple[Machine, Machine]:
+    """The same machine twice, forced onto the scalar and the SoA path."""
+    cfg = MachineConfig(n_cpus=n_cpus, smt_ways=smt_ways, bus=BusConfig(solver_mode=mode))
+    with machine_path(soa=False):
+        scalar = Machine(cfg, Engine())
+    with machine_path(soa=True):
+        soa = Machine(cfg, Engine())
+    assert scalar.soa_store is None and soa.soa_store is not None
+    return scalar, soa
 
 
 def _mirror(machines, op):
@@ -128,8 +126,24 @@ def _mirror(machines, op):
     return [op(m) for m in machines]
 
 
+class TestPathSelector:
+    """The machine size picks the hot path; the solver mode never does."""
+
+    @pytest.mark.parametrize("mode", ["bisect", "newton", "vector"])
+    def test_small_machines_run_scalar_large_run_soa(self, mode):
+        def build(n_cpus: int, smt_ways: int = 1) -> Machine:
+            bus = BusConfig(solver_mode=mode)
+            return Machine(MachineConfig(n_cpus=n_cpus, smt_ways=smt_ways, bus=bus), Engine())
+
+        assert build(4).soa_store is None
+        assert build(256).soa_store is not None
+        assert build(_SOA_MIN_CPUS - 1).soa_store is None
+        # Logical CPUs count: SMT siblings reach the threshold together.
+        assert build(_SOA_MIN_CPUS // 2, smt_ways=2).soa_store is not None
+
+
 class TestVectorSettleParity:
-    """Vector-mode settle path: same bits as the scalar reference."""
+    """Scalar and SoA settle paths: same bits, every solver mode and SMT."""
 
     def _populate(self, machine: Machine, n: int = 6) -> list[int]:
         tids = []
@@ -142,99 +156,98 @@ class TestVectorSettleParity:
             tids.append(st.tid)
         return tids
 
-    def _assert_same_state(self, newton: Machine, vector: Machine, tids):
+    def _assert_same_state(self, scalar: Machine, soa: Machine, tids):
         for tid in tids:
-            a, b = newton.thread(tid), vector.thread(tid)
+            a, b = scalar.thread(tid), soa.thread(tid)
             assert b.work_done == a.work_done
             assert b.run_time_us == a.run_time_us
             assert b.rebuild_debt == a.rebuild_debt
-        for cpu in range(len(newton.cpus)):
-            ca, cb = newton.cache_of(cpu), vector.cache_of(cpu)
+        for cpu in range(len(scalar.cpus)):
+            ca, cb = scalar.cache_of(cpu), soa.cache_of(cpu)
             for tid in tids:
                 assert cb.resident(tid) == ca.resident(tid)
-        assert vector.horizon() == newton.horizon()
+        assert soa.horizon() == scalar.horizon()
+        assert soa.bus_total_txus == scalar.bus_total_txus
+        for tid in tids:
+            assert soa.thread_speed(tid) == scalar.thread_speed(tid)
 
     def test_advance_is_bit_identical(self):
-        pair = _mode_pair()
-        tids_n, tids_v = _mirror(pair, self._populate)
-        assert tids_n == tids_v
-        for t in (1.0, 7.5, 40.0, 41.25):
-            _mirror(pair, lambda m: m.advance_to(t))
-        self._assert_same_state(*pair, tids_n)
+        for mode, smt_ways in PATH_CASES:
+            pair = _path_pair(mode, smt_ways=smt_ways)
+            tids, tids_soa = _mirror(pair, self._populate)
+            assert tids == tids_soa
+            for t in (1.0, 7.5, 40.0, 41.25):
+                _mirror(pair, lambda m: m.advance_to(t))
+            self._assert_same_state(*pair, tids)
 
     def test_reconfiguration_sequence_is_bit_identical(self):
-        pair = _mode_pair()
-        tids, _ = _mirror(pair, self._populate)
-        _mirror(pair, lambda m: m.advance_to(5.0))
-        _mirror(pair, lambda m: m.set_blocked(tids[2], True))
-        _mirror(pair, lambda m: m.advance_to(9.0))
-        _mirror(pair, lambda m: m.set_blocked(tids[2], False))
-        _mirror(pair, lambda m: m.dispatch(2, tids[2]))
-        _mirror(pair, lambda m: m.advance_to(30.0))
-        self._assert_same_state(*pair, tids)
+        for mode, smt_ways in PATH_CASES:
+            pair = _path_pair(mode, smt_ways=smt_ways)
+            tids, _ = _mirror(pair, self._populate)
+            _mirror(pair, lambda m: m.advance_to(5.0))
+            _mirror(pair, lambda m: m.set_blocked(tids[2], True))
+            _mirror(pair, lambda m: m.advance_to(9.0))
+            _mirror(pair, lambda m: m.set_blocked(tids[2], False))
+            _mirror(pair, lambda m: m.dispatch(2, tids[2]))
+            _mirror(pair, lambda m: m.advance_to(30.0))
+            self._assert_same_state(*pair, tids)
 
     def test_dirty_mask_reuses_clean_entries(self):
-        newton, vector = _mode_pair()
-        self._populate(newton)
-        tids = self._populate(vector)
-        for m in (newton, vector):
+        scalar, soa = _path_pair()
+        self._populate(scalar)
+        tids = self._populate(soa)
+        for m in (scalar, soa):
             m.advance_to(2.0)
             # Touch a single thread; the other five lane entries are clean.
             m.add_rebuild_debt(tids[0], 100.0)
             m.advance_to(3.0)
-        assert vector.dirty_mask_hits >= 5
-        assert newton.dirty_mask_hits == 0
+        assert soa.dirty_mask_hits >= 5
+        assert scalar.dirty_mask_hits == 0
 
-    @pytest.mark.parametrize("smt_ways", [1, 2], ids=["soa", "vector-smt"])
-    def test_migration_on_solve_skip_path_accounts_correct_cache(self, smt_ways):
+    @pytest.mark.parametrize("mode,smt_ways", PATH_CASES)
+    def test_migration_on_solve_skip_path_accounts_correct_cache(self, mode, smt_ways):
         # Regression: a lone thread's migration leaves the lane signature
-        # unchanged (it encodes tids and rates, not CPU ids), so
-        # _ensure_solution takes the solve-skip path. The batched advance
-        # must still charge the *new* CPU's cache, like the scalar path's
-        # live ``st.cpu`` read does. Parametrized over SMT because the
-        # two vector skip paths differ: smt_ways=1 runs the SoA store
-        # path (lane handles rebound via _bind_lane_handles), smt_ways=2
-        # runs the lane-object path (_adv_caches refresh) — both must
-        # re-read placement on a solve skip.
-        pair = _mode_pair(n_cpus=2, smt_ways=smt_ways)
-        newton, vector = pair
-        assert (vector.soa_store is not None) == (smt_ways == 1)
+        # unchanged (it encodes tids and rates, not CPU ids), so the entry
+        # build takes the solve-skip path. The SoA advance must still
+        # charge the *new* CPU's cache, like the scalar path's live
+        # ``st.cpu`` read does: its lane handles are rebound from the
+        # store's placement on every solve skip.
+        pair = _path_pair(mode, n_cpus=2, smt_ways=smt_ways)
+        scalar, soa = pair
         # With SMT, logical CPUs 0..smt_ways-1 share core 0's cache; use
         # the first logical CPU of each core so the caches are distinct
         # (one thread per core also keeps the SMT factor at 1.0).
         cpu_a, cpu_b = 0, smt_ways
-        bg_n, bg_v = _mirror(
+        bg, bg_soa = _mirror(
             pair,
             lambda m: m.add_thread(
                 "warm", _FlatDemand(20.0), work_total=10_000.0,
                 footprint_lines=4_000.0,
             ).tid,
         )
-        assert bg_n == bg_v
+        assert bg == bg_soa
         # Fill core B's cache with the warm thread's working set, idle it.
-        _mirror(pair, lambda m: m.dispatch(cpu_b, bg_n))
+        _mirror(pair, lambda m: m.dispatch(cpu_b, bg))
         _mirror(pair, lambda m: m.advance_to(150.0))
         _mirror(pair, lambda m: m.dispatch(cpu_b, None))
         # A zero-footprint streamer (no rebuild debt anywhere, so its
         # lane entry is identical on any CPU) starts on core A ...
-        mover_n, mover_v = _mirror(
+        mover, _ = _mirror(
             pair,
             lambda m: m.add_thread(
                 "stream", _FlatDemand(25.0), work_total=20_000.0,
                 footprint_lines=0.0,
             ).tid,
         )
-        _mirror(pair, lambda m: m.dispatch(cpu_a, mover_n))
+        _mirror(pair, lambda m: m.dispatch(cpu_a, mover))
         _mirror(pair, lambda m: m.advance_to(200.0))
         # ... then migrates to core B and keeps streaming: its inflow
         # must now evict the warm thread's lines from core B's cache.
-        _mirror(pair, lambda m: m.dispatch(cpu_b, mover_n))
+        _mirror(pair, lambda m: m.dispatch(cpu_b, mover))
         _mirror(pair, lambda m: m.advance_to(400.0))
-        assert vector.solve_skips >= 1
-        ref = newton.cache_of(cpu_b).resident(bg_n)
-        assert ref < newton.cache_of(cpu_a).total_lines  # eviction happened
-        assert vector.cache_of(cpu_b).resident(bg_v) == ref
-        for tid in (bg_n, mover_n):
-            assert (
-                vector.thread(tid).work_done == newton.thread(tid).work_done
-            )
+        assert soa.solve_skips >= 1
+        ref = scalar.cache_of(cpu_b).resident(bg)
+        assert ref < scalar.cache_of(cpu_a).total_lines  # eviction happened
+        assert soa.cache_of(cpu_b).resident(bg) == ref
+        for tid in (bg, mover):
+            assert soa.thread(tid).work_done == scalar.thread(tid).work_done

@@ -8,12 +8,12 @@ Three layers of guarantees pinned here:
    land in the store arrays and direct array writes are visible through
    the attributes (policies, audit, faults and the batched machine loops
    share one source of truth).
-3. The SoA hot path (``solver_mode="vector"``, no SMT) is bit-identical
-   to the scalar newton reference under randomized operation sequences —
+3. The SoA hot path is bit-identical to the scalar lane loops, under
+   every solver mode and with SMT, for randomized operation sequences —
    drifting warm starts (rebuild-debt churn), migrations, blocking,
    stalls and mid-run kills — and under a full faulted simulation.
    The machine's incremental ready set must always equal the brute-force
-   recomputation in every mode (the kernel pick scan trusts it).
+   recomputation on both paths (the kernel pick scan trusts it).
 """
 
 import math
@@ -25,6 +25,7 @@ from repro.config import BusConfig, MachineConfig
 from repro.hw.machine import Machine
 from repro.hw.store import BOOL_FIELDS, FLOAT_FIELDS, INT_FIELDS, ThreadStore
 from repro.sim.engine import Engine
+from tests.conftest import PATH_CASES, machine_path
 
 
 class _FlatDemand:
@@ -144,10 +145,18 @@ def _brute_force_ready(machine: Machine) -> list[int]:
     )
 
 
-def _mode_machine(mode: str, n_cpus: int = 4) -> Machine:
-    return Machine(
-        MachineConfig(n_cpus=n_cpus, bus=BusConfig(solver_mode=mode)), Engine()
-    )
+def _mode_machine(mode: str, soa: bool, n_cpus: int = 4, smt_ways: int = 1) -> Machine:
+    cfg = MachineConfig(n_cpus=n_cpus, smt_ways=smt_ways, bus=BusConfig(solver_mode=mode))
+    with machine_path(soa):
+        return Machine(cfg, Engine())
+
+
+def _path_pair(mode: str, smt_ways: int) -> list[Machine]:
+    """Scalar and SoA machines with 4 logical CPUs (2 cores × 2 under SMT)."""
+    n_cpus = 4 // smt_ways
+    return [
+        _mode_machine(mode, soa, n_cpus=n_cpus, smt_ways=smt_ways) for soa in (False, True)
+    ]
 
 
 def _apply_random_ops(machines, seed: int, steps: int = 60, n_cpus: int = 4):
@@ -231,24 +240,27 @@ class TestReadySetInvariant:
     @pytest.mark.parametrize("mode", ["newton", "vector"])
     @pytest.mark.parametrize("seed", [0, 7, 23])
     def test_ready_set_matches_brute_force(self, mode, seed):
-        machine = _mode_machine(mode)
-        for _ in _apply_random_ops([machine], seed):
-            assert machine.ready_tids() == _brute_force_ready(machine)
-            runnable = machine.runnable_threads()
-            rows = machine.runnable_rows()
-            assert [t.tid - 1 for t in runnable] == rows.tolist()
+        for soa in (False, True):
+            machine = _mode_machine(mode, soa)
+            for _ in _apply_random_ops([machine], seed):
+                assert machine.ready_tids() == _brute_force_ready(machine)
+                runnable = machine.runnable_threads()
+                rows = machine.runnable_rows()
+                assert [t.tid - 1 for t in runnable] == rows.tolist()
+                assert runnable == [t for t in machine.threads() if t.runnable]
 
     def test_occupancy_mirror_tracks_cpus(self):
-        machine = _mode_machine("vector")
-        for _ in _apply_random_ops([machine], seed=3):
-            for cpu in machine.cpus:
-                want = -1 if cpu.tid is None else cpu.tid
-                assert machine.cpu_tids[cpu.cpu_id] == want
+        for soa in (False, True):
+            machine = _mode_machine("vector", soa)
+            for _ in _apply_random_ops([machine], seed=3):
+                for cpu in machine.cpus:
+                    want = -1 if cpu.tid is None else cpu.tid
+                    assert machine.cpu_tids[cpu.cpu_id] == want
 
 
-#: Store columns carrying physics (compared bit-exact across solver
-#: modes). seg_rate/seg_end are the SoA path's private segment cache —
-#: the scalar reference never populates them.
+#: Store columns carrying physics (compared bit-exact across the two
+#: paths). seg_rate/seg_end are the SoA path's private segment cache —
+#: the scalar lane loops never populate them.
 _PHYSICS_FLOATS = (
     "work_done", "work_total", "rebuild_debt", "next_io_at_work",
     "run_time_us", "footprint_lines",
@@ -267,32 +279,31 @@ def _assert_stores_identical(a: Machine, b: Machine):
 
 
 class TestScalarVsSoAPropertyIdentity:
-    """Randomized lifecycle sequences: newton and SoA-vector, same bits."""
+    """Randomized lifecycle sequences: scalar and SoA paths, same bits."""
 
+    @pytest.mark.parametrize("mode,smt_ways", PATH_CASES)
     @pytest.mark.parametrize("seed", [1, 5, 12, 31, 48])
-    def test_random_op_sequences_bit_identical(self, seed):
-        newton = _mode_machine("newton")
-        vector = _mode_machine("vector")
-        assert vector.soa_store is not None  # SoA path armed
-        assert newton.soa_store is None
-        for _ in _apply_random_ops([newton, vector], seed):
-            assert vector.horizon() == newton.horizon()
-            _assert_stores_identical(newton, vector)
-        assert vector.bus_total_txus == newton.bus_total_txus
+    def test_random_op_sequences_bit_identical(self, seed, mode, smt_ways):
+        scalar, soa = machines = _path_pair(mode, smt_ways)
+        assert soa.soa_store is not None and scalar.soa_store is None
+        for _ in _apply_random_ops(machines, seed):
+            assert soa.horizon() == scalar.horizon()
+            _assert_stores_identical(scalar, soa)
+        assert soa.bus_total_txus == scalar.bus_total_txus
 
     def test_thread_speed_matches_scalar_lookup(self):
-        newton = _mode_machine("newton")
-        vector = _mode_machine("vector")
-        for _ in _apply_random_ops([newton, vector], seed=9, steps=20):
-            for t in newton.threads():
-                assert vector.thread_speed(t.tid) == newton.thread_speed(t.tid)
+        for mode, smt_ways in PATH_CASES:
+            scalar, soa = machines = _path_pair(mode, smt_ways)
+            for _ in _apply_random_ops(machines, seed=9, steps=20):
+                for t in scalar.threads():
+                    assert soa.thread_speed(t.tid) == scalar.thread_speed(t.tid)
 
 
 class TestFaultedRunIdentity:
     def test_faulted_simulation_bit_identical_newton_vs_vector(self):
         # Faults add mid-quantum app crashes (immediate disconnect), hangs
-        # (stalls) and PMC/signal perturbations — the SoA path must track
-        # the scalar reference through all of them.
+        # (stalls) and PMC/signal perturbations — vector on the SoA path
+        # must track newton on the scalar lane loops through all of them.
         from repro.core.policies import QuantaWindowPolicy
         from repro.experiments.base import SimulationSpec, run_simulation
         from repro.faults import FaultPlan
@@ -321,7 +332,9 @@ class TestFaultedRunIdentity:
                 faults=plan,
             )
 
-        ref = run_simulation(spec("newton"))
-        vec = run_simulation(spec("vector"))
+        with machine_path(soa=False):
+            ref = run_simulation(spec("newton"))
+        with machine_path(soa=True):
+            vec = run_simulation(spec("vector"))
         assert vec == ref
         assert vec.apps == ref.apps
