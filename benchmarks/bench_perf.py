@@ -1,15 +1,13 @@
 """PERF: solver/dispatch variants, wall clock, and cache effectiveness.
 
 A standalone script (not a pytest-benchmark module) that times ``run_fig2``
-four ways, times the vectorized hot path on a scaled-up workload, and
+three ways, times the vectorized hot path on a scaled-up workload, and
 writes ``BENCH_fig2.json``:
 
 1. **serial / cache off** — the pre-optimization baseline
    (``solve_cache_size=0``);
-2. **serial / cache on** — the PR 1 memo-cache solver (bisection);
-3. **serial / newton + warm start** — ``solver_mode="newton"``: guarded
-   Newton root finder seeded from the previous equilibrium;
-4. **parallel / chunked** — the cached grid through ``run_many(jobs=N)``
+2. **serial / cache on** — the PR 1 memo-cache solver;
+3. **parallel / chunked** — the cached grid through ``run_many(jobs=N)``
    with chunked dispatch.
 
 Alongside wall-clock it records solver-work counters summed over every
@@ -17,21 +15,27 @@ simulation in the grid: ``solve`` invocations, memo cache hits,
 warm starts, and root-finder throughput evaluations — the optimizations'
 job is to make the last number drop. The script asserts the variants agree
 on the figure's actual rows: chunked parallel must match serial *exactly*;
-cache-off and newton must match the cached bisect run to solver tolerance
-(the CI benchmark smoke job runs this script and fails on any violation).
+cache-off must match the cached run to solver tolerance (the CI benchmark
+smoke job runs this script and fails on any violation). The paper's
+4-CPU machine never solves enough lanes for the batched Newton finder,
+so these variants all run bisection.
 
 The **vectorized** section scales the fig2 workload up to a large SMP
 (default: 256 CPUs, 128 target app instances of Barnes/SP/CG/Raytrace
 plus 128 microbenchmark background apps under the Quanta Window policy)
-and times ``solver_mode="vector"`` + incremental selection on the SoA
-machine path against the PR 5 state of the art, ``solver_mode="newton"``
-+ full re-rank selection on the scalar lane loops. The machine picks its
-hot path by CPU count, so the script forces the scalar loops for the
-newton side. The two runs must produce *bit-identical* ``RunResult``s —
-the speedup is pure evaluation-order-preserving batching — and the report
-carries the hot-path counters (``batched_lanes``, ``dirty_mask_hits``, the
-fraction of per-job estimates actually re-scored) that prove where the
-time went.
+and times incremental selection on the SoA machine path against the PR 5
+state of the art, full re-rank selection on the scalar lane loops. Both
+solve the bus with the batched Newton finder the lane count selects. The
+machine picks its hot path by CPU count, so the script forces the scalar
+loops for the reference side. The two runs must produce *bit-identical*
+``RunResult``s — the speedup is pure evaluation-order-preserving
+batching — and the report carries the hot-path counters
+(``batched_lanes``, ``dirty_mask_hits``, the fraction of per-job
+estimates actually re-scored) that prove where the time went. One more
+run of the same workload with bisection forced at every lane count gives
+the Newton gates: ``newton_within_tolerance`` (every turnaround within
+solver tolerance of bisection) and ``newton_step_reduction_pct`` (the
+cut in root-finder throughput evaluations).
 
 The **entry_build** section micro-benchmarks the ``_ensure_solution``
 entry build alone — every lane dirtied, solve memoized away — and
@@ -77,7 +81,7 @@ SCALED_APPS = ["Barnes", "SP", "CG", "Raytrace"]
 #: Wall-clock seconds from the previously committed BENCH_fig2.json
 #: (same box, same scaled workload: 256 CPUs, 32 instances, scale 0.05,
 #: seed 42). Carried forward so each refresh also reports the cumulative
-#: hot-path speedup across PRs, not just this run's newton-vs-vector
+#: hot-path speedup across PRs, not just this run's scalar-vs-SoA
 #: ratio. Update these when re-baselining on new hardware.
 PRIOR_WALLS = {
     "serial_newton_warm_s": 1.8512,
@@ -98,19 +102,27 @@ def _scalar_machine_path() -> Iterator[None]:
         machine._SOA_MIN_CPUS = saved
 
 
-def _machine(cache: bool, solver: str = "bisect") -> MachineConfig:
-    bus = BusConfig(
-        solve_cache_size=BusConfig().solve_cache_size if cache else 0,
-        solver_mode=solver,
-    )
+@contextlib.contextmanager
+def _bisect_only() -> Iterator[None]:
+    """Solve the bus by bisection at every lane count inside the block."""
+    from repro.hw import bus
+
+    saved = bus._BATCH_MIN_LANES
+    bus._BATCH_MIN_LANES = sys.maxsize
+    try:
+        yield
+    finally:
+        bus._BATCH_MIN_LANES = saved
+
+
+def _machine(cache: bool) -> MachineConfig:
+    bus = BusConfig(solve_cache_size=BusConfig().solve_cache_size if cache else 0)
     return MachineConfig(bus=bus)
 
 
 def _run(set_name: str, machine: MachineConfig, jobs: int, scale: float,
          apps: list[str], seed: int):
-    from repro.experiments.fig2 import (
-        _background, _fresh_policy, default_policies, replace_scheduler,
-    )
+    from repro.experiments.fig2 import _background, default_policies, replace_scheduler
     from repro.config import ManagerConfig, LinuxSchedConfig
     from repro.experiments.base import SimulationSpec
     from repro.parallel import run_many
@@ -130,8 +142,8 @@ def _run(set_name: str, machine: MachineConfig, jobs: int, scale: float,
             seed=seed,
         )
         specs.append(base)
-        for template in default_policies(manager):
-            specs.append(replace_scheduler(base, _fresh_policy(template)))
+        for policy in default_policies(manager):
+            specs.append(replace_scheduler(base, policy))
     start = time.perf_counter()
     results = run_many(specs, jobs=jobs)
     elapsed = time.perf_counter() - start
@@ -153,31 +165,27 @@ def _run(set_name: str, machine: MachineConfig, jobs: int, scale: float,
     return results, stats
 
 
-def _scaled_spec(mode: str, incremental: bool, n_cpus: int, inst: int,
+def _scaled_spec(incremental: bool, n_cpus: int, inst: int,
                  scale: float, seed: int, profile: bool = False):
     """One scaled-up fig2 workload under Quanta Window.
 
     ``inst`` instances of each app in :data:`SCALED_APPS` (two threads
     each), ``3*inst`` BBMA + ``inst`` nBBMA background apps, on an
     ``n_cpus``-way machine whose bus capacity scales with the CPU count.
-    Policies are cloned per call so estimator state never crosses runs.
     """
     from repro.config import LinuxSchedConfig, ManagerConfig
     from repro.experiments.base import SimulationSpec
-    from repro.experiments.fig2 import _fresh_policy, default_policies
+    from repro.experiments.fig2 import default_policies
     from repro.workloads.microbench import bbma_spec, nbbma_spec
     from repro.workloads.suites import PAPER_APPS
 
     machine = MachineConfig(
         n_cpus=n_cpus,
-        bus=BusConfig(
-            solver_mode=mode,
-            capacity_txus=BusConfig().capacity_txus * (n_cpus / 4.0),
-        ),
+        bus=BusConfig(capacity_txus=BusConfig().capacity_txus * (n_cpus / 4.0)),
     )
     manager = ManagerConfig()
-    template = default_policies(manager)[1]  # Quanta Window
-    template.incremental = incremental
+    policy = default_policies(manager)[1]  # Quanta Window
+    policy.incremental = incremental
     targets = []
     for name in SCALED_APPS:
         app = PAPER_APPS[name].scaled(scale)
@@ -187,7 +195,7 @@ def _scaled_spec(mode: str, incremental: bool, n_cpus: int, inst: int,
     return SimulationSpec(
         targets=targets,
         background=background,
-        scheduler=_fresh_policy(template),
+        scheduler=policy,
         machine=machine,
         manager=manager,
         linux=LinuxSchedConfig(),
@@ -210,26 +218,31 @@ def _best_of(reps: int, make_spec, run):
 
 def _vector_benchmark(n_cpus: int, inst: int, scale: float, seed: int,
                       reps: int) -> dict:
-    """Time vector+incremental+SoA against newton+full-rerank+scalar."""
+    """Time incremental+SoA against full-rerank+scalar; gate Newton on bisection."""
     from repro.experiments.base import run_simulation
 
-    def newton_spec():
-        return _scaled_spec("newton", False, n_cpus, inst, scale, seed)
+    def reference_spec():
+        return _scaled_spec(False, n_cpus, inst, scale, seed)
 
     def vector_spec():
-        return _scaled_spec("vector", True, n_cpus, inst, scale, seed)
+        return _scaled_spec(True, n_cpus, inst, scale, seed)
 
     with _scalar_machine_path():
-        t_newton, r_newton = _best_of(reps, newton_spec, run_simulation)
+        t_reference, r_reference = _best_of(reps, reference_spec, run_simulation)
     t_vector, r_vector = _best_of(reps, vector_spec, run_simulation)
-    identical = r_newton == r_vector
-    assert identical, "vectorized hot path diverged from the newton reference"
+    identical = r_reference == r_vector
+    assert identical, "vectorized hot path diverged from the scalar reference"
+
+    # The same workload with every solve bisected: the batched Newton
+    # finder must land within solver tolerance of it, in fewer steps.
+    with _bisect_only():
+        r_bisect = run_simulation(vector_spec())
+    _assert_within_tolerance([r_bisect], [r_vector], "newton solver")
+    assert r_vector.bus_bisection_steps > 0, "no saturated solve took the Newton finder"
 
     # One extra profiled run for the hot-path counters (never timed: the
     # per-phase timers themselves cost wall clock).
-    profiled = run_simulation(
-        _scaled_spec("vector", True, n_cpus, inst, scale, seed, profile=True)
-    )
+    profiled = run_simulation(_scaled_spec(True, n_cpus, inst, scale, seed, profile=True))
     prof = profiled.profile or {}
     rescored = prof.get("sel_est_rescored", 0)
     reused = prof.get("sel_est_reused", 0)
@@ -246,15 +259,21 @@ def _vector_benchmark(n_cpus: int, inst: int, scale: float, seed: int,
         },
         "best_of": reps,
         "serial_newton_warm": {
-            "wall_clock_s": round(t_newton, 4),
-            "solver_mode": "newton",
+            "wall_clock_s": round(t_reference, 4),
+            "machine_path": "scalar",
             "incremental_selection": False,
-            "solve_calls": r_newton.bus_solve_calls,
-            "solver_steps": r_newton.bus_bisection_steps,
+            "solve_calls": r_reference.bus_solve_calls,
+            "solver_steps": r_reference.bus_bisection_steps,
+        },
+        "bisect_reference": {
+            "machine_path": "soa",
+            "incremental_selection": True,
+            "solve_calls": r_bisect.bus_solve_calls,
+            "solver_steps": r_bisect.bus_bisection_steps,
         },
         "vectorized": {
             "wall_clock_s": round(t_vector, 4),
-            "solver_mode": "vector",
+            "machine_path": "soa",
             "incremental_selection": True,
             "solve_calls": r_vector.bus_solve_calls,
             "solver_steps": r_vector.bus_bisection_steps,
@@ -268,7 +287,7 @@ def _vector_benchmark(n_cpus: int, inst: int, scale: float, seed: int,
                 else None
             ),
         },
-        "speedup_vs_newton": round(t_newton / t_vector, 2),
+        "speedup_vs_newton": round(t_reference / t_vector, 2),
         "prior_walls": dict(PRIOR_WALLS),
         "speedup_vs_prior_vector": round(
             PRIOR_WALLS["vectorized_s"] / t_vector, 2
@@ -277,6 +296,9 @@ def _vector_benchmark(n_cpus: int, inst: int, scale: float, seed: int,
             PRIOR_WALLS["serial_newton_warm_s"] / t_vector, 2
         ),
         "bit_identical_newton_vector": identical,
+        "newton_step_reduction_pct": round(
+            100.0 * (1.0 - r_vector.bus_bisection_steps / r_bisect.bus_bisection_steps), 1
+        ),
     }
     return section
 
@@ -284,9 +306,9 @@ def _vector_benchmark(n_cpus: int, inst: int, scale: float, seed: int,
 def _entry_build_benchmark(n_lanes: int, reps: int = 3) -> dict:
     """Micro-benchmark: ``_ensure_solution`` entry build, µs per 1k dirty lanes.
 
-    Builds a fully-occupied ``n_lanes``-CPU machine in each solver mode —
-    newton forced onto the scalar lane loops, vector on the SoA path the
-    machine size selects — then repeatedly invalidates the lane signature
+    Builds a fully-occupied ``n_lanes``-CPU machine twice — once forced
+    onto the scalar lane loops, once on the SoA path the machine size
+    selects — then repeatedly invalidates the lane signature
     (so every lane is dirty and the skip path cannot fire) and rebuilds. The bus solve
     itself is memoized after the first iteration — identical rates hit
     the solve cache — so the loop isolates exactly the per-lane entry
@@ -305,14 +327,11 @@ def _entry_build_benchmark(n_lanes: int, reps: int = 3) -> dict:
             k = int(work // self._step)
             return self._rate * (1.0 + 0.1 * (k % 3)), (k + 1) * self._step
 
-    def build(mode: str) -> Machine:
+    def build() -> Machine:
         machine = Machine(
             MachineConfig(
                 n_cpus=n_lanes,
-                bus=BusConfig(
-                    solver_mode=mode,
-                    capacity_txus=BusConfig().capacity_txus * (n_lanes / 4.0),
-                ),
+                bus=BusConfig(capacity_txus=BusConfig().capacity_txus * (n_lanes / 4.0)),
             ),
             Engine(),
         )
@@ -327,13 +346,12 @@ def _entry_build_benchmark(n_lanes: int, reps: int = 3) -> dict:
 
     iters = max(1, 20_000 // n_lanes)  # ~20k lane entry-builds per rep
     section = {"n_lanes": n_lanes, "iterations": iters, "best_of": reps}
-    for mode, key in (
-        ("newton", "scalar_us_per_1k_lanes"),
-        ("vector", "soa_us_per_1k_lanes"),
+    for scalar, key in (
+        (True, "scalar_us_per_1k_lanes"),
+        (False, "soa_us_per_1k_lanes"),
     ):
-        scalar = mode == "newton"
         with _scalar_machine_path() if scalar else contextlib.nullcontext():
-            machine = build(mode)
+            machine = build()
         best = float("inf")
         for _ in range(reps):
             start = time.perf_counter()
@@ -386,7 +404,7 @@ def _multicore_benchmark(n_cpus: int, inst: int, scale: float, seed: int,
 
     def grid():
         return [
-            _scaled_spec("vector", True, n_cpus, inst, scale, seed + i)
+            _scaled_spec(True, n_cpus, inst, scale, seed + i)
             for i in range(jobs)
         ]
 
@@ -465,10 +483,6 @@ def main(argv: list[str] | None = None) -> int:
     cached_results, variants["serial_cache_on"] = _run(
         args.set_name, _machine(cache=True), 1, args.scale, apps, args.seed
     )
-    newton_results, variants["serial_newton_warm"] = _run(
-        args.set_name, _machine(cache=True, solver="newton"), 1, args.scale,
-        apps, args.seed,
-    )
     parallel_results, variants["parallel_chunked"] = _run(
         args.set_name, _machine(cache=True), parallel_jobs, args.scale, apps,
         args.seed,
@@ -482,12 +496,10 @@ def main(argv: list[str] | None = None) -> int:
             "oversubscription, not speedup"
         )
 
-    # Correctness gates: chunked parallel must be exactly serial; neither
-    # the cache nor the newton solver may move any turnaround beyond
-    # solver tolerance.
+    # Correctness gates: chunked parallel must be exactly serial; the
+    # cache may not move any turnaround beyond solver tolerance.
     assert parallel_results == cached_results, "parallel diverged from serial"
     _assert_within_tolerance(base_results, cached_results, "cache")
-    _assert_within_tolerance(cached_results, newton_results, "newton solver")
 
     vector_section = None
     entry_build_section = None
@@ -504,7 +516,6 @@ def main(argv: list[str] | None = None) -> int:
 
     base = variants["serial_cache_off"]
     cached = variants["serial_cache_on"]
-    newton = variants["serial_newton_warm"]
     par = variants["parallel_chunked"]
     report = {
         "experiment": f"fig2{args.set_name}",
@@ -527,16 +538,11 @@ def main(argv: list[str] | None = None) -> int:
         )
         if base["solver_steps"]
         else 0.0,
-        "newton_step_reduction_pct": round(
-            100.0 * (1.0 - newton["solver_steps"] / cached["solver_steps"]), 1
-        )
-        if cached["solver_steps"]
-        else 0.0,
+        "newton_step_reduction_pct": (
+            vector_section["newton_step_reduction_pct"] if vector_section else None
+        ),
         "cache_speedup_serial": round(
             base["wall_clock_s"] / cached["wall_clock_s"], 2
-        ),
-        "newton_speedup_vs_cached_serial": round(
-            cached["wall_clock_s"] / newton["wall_clock_s"], 2
         ),
         "parallel_speedup_vs_cached_serial": round(
             cached["wall_clock_s"] / par["wall_clock_s"], 2
@@ -549,7 +555,8 @@ def main(argv: list[str] | None = None) -> int:
         if parallel_meaningful
         else None,
         "bit_identical_serial_parallel": True,
-        "newton_within_tolerance": True,
+        # _vector_benchmark asserts it; None when that section was skipped.
+        "newton_within_tolerance": True if vector_section else None,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)

@@ -116,28 +116,15 @@ class BusConfig:
     fixed_point_tol:
         Convergence tolerance of the latency equilibrium search.
     solver_mode:
-        Root-finding strategy of the saturation equilibrium search.
-        ``"bisect"`` (default) — pure interval bisection from the cold
-        ``[lam_c, 2^k·lam_c]`` bracket, the reference implementation.
-        ``"newton"`` — guarded Newton iteration with an analytic
-        derivative, warm-started from the model's previous saturated
-        equilibrium (the running set drifts little between adjacent
-        quanta, so the previous root is an excellent seed); any step
-        leaving the known bracket falls back to bisection. Both modes
-        converge to the same root within ``fixed_point_tol``
-        (``tests/hw/test_bus_newton.py`` proves the equivalence on
-        randomized workloads); newton typically needs ~5× fewer
-        throughput evaluations.
-        ``"vector"`` — the same guarded-Newton iteration with every
-        per-lane evaluation batched into numpy array operations (one
-        elementwise kernel per iteration instead of a Python loop over
-        lanes). The array kernels evaluate the identical IEEE-754
-        expressions with sequential (``cumsum``) reductions, so vector
-        mode is *bitwise identical* to newton mode
-        (``tests/hw/test_bus_vector.py``) — it is the fast path, newton
-        the scalar A/B reference. The mode picks only the root finder:
-        which settle loop :class:`repro.hw.machine.Machine` runs depends
-        on the machine's logical CPU count, not on this field.
+        Accepted and ignored. One of ``"bisect"``, ``"newton"`` or
+        ``"vector"``; any other value is rejected. The field stays so that
+        stored specs and the service's JSON bodies still decode and hash
+        as before, but it selects nothing: :class:`repro.hw.bus.BusModel`
+        picks its root finder from the number of lanes it solves
+        (bisection below ``repro.hw.bus._BATCH_MIN_LANES``, batched
+        guarded Newton from there on), and
+        :class:`repro.hw.machine.Machine` picks its settle loop from its
+        logical CPU count.
     solve_cache_size:
         Capacity (entries) of the LRU memo cache inside
         :meth:`repro.hw.bus.BusModel.solve`, keyed on the canonicalized

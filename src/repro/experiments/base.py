@@ -15,6 +15,7 @@ machine.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import itertools
 from dataclasses import dataclass, field
@@ -63,7 +64,9 @@ class SimulationSpec:
         (the O(1) scheduler), ``"gang"``, or a
         :class:`~repro.core.policies.BandwidthPolicy` instance (which runs
         inside a CPU manager on top of a kernel scheduler — pick it with
-        ``kernel``).
+        ``kernel``). Each run works on a deep copy of the policy, so the
+        spec's instance never learns and the same spec always gives the
+        same result.
     kernel:
         The kernel substrate under a policy scheduler: ``"linux"`` (2.4,
         the paper's setup) or ``"linux26"``.
@@ -258,7 +261,8 @@ def _build(spec: SimulationSpec) -> SimulationHandle:
     if isinstance(spec.scheduler, BandwidthPolicy):
         kernel = _make_kernel(spec.kernel, spec)
         manager = CpuManager(
-            spec.manager, spec.scheduler, kernel, auditor=auditor, faults=injector
+            spec.manager, copy.deepcopy(spec.scheduler), kernel,
+            auditor=auditor, faults=injector,
         )
     elif spec.scheduler == "linux":
         kernel = LinuxScheduler(spec.linux)

@@ -35,7 +35,7 @@ from ..parallel import run_many
 from ..workloads.microbench import bbma_spec
 from ..workloads.suites import PAPER_APPS
 from .base import SimulationSpec
-from .fig2 import _fresh_policy, default_policies
+from .fig2 import default_policies
 from .reporting import format_table
 
 __all__ = [
@@ -182,7 +182,7 @@ def run_faults(
                     SimulationSpec(
                         targets=[app_spec, app_spec],
                         background=background,
-                        scheduler=_fresh_policy(template),
+                        scheduler=template,
                         machine=machine,
                         manager=manager,
                         linux=linux,

@@ -126,12 +126,13 @@ def run_fig2(
     """Run one workload set (A, B or C) for every application.
 
     Returns one row per application with the Linux baseline and each
-    policy's improvement. ``policies`` instances are *templates*: a fresh
-    copy (same class and parameters) is used per run so estimator state
-    never leaks across workloads. The whole (application × scheduler)
-    grid is dispatched through :func:`repro.parallel.run_many`; ``jobs``
-    and ``progress`` are forwarded to it, and results are identical for
-    any job count.
+    policy's improvement. Every run works on its own deep copy of a
+    ``policies`` instance (see
+    :attr:`~repro.experiments.base.SimulationSpec.scheduler`), so
+    estimator state never leaks across workloads. The whole
+    (application × scheduler) grid is dispatched through
+    :func:`repro.parallel.run_many`; ``jobs`` and ``progress`` are
+    forwarded to it, and results are identical for any job count.
     """
     machine = machine or MachineConfig()
     manager = manager or ManagerConfig()
@@ -142,7 +143,6 @@ def run_fig2(
     # Flatten the grid: per application, one Linux baseline plus one run
     # per policy, in a fixed order we reassemble below.
     specs: list[SimulationSpec] = []
-    policy_names: list[list[str]] = []
     for name in names:
         app_spec = PAPER_APPS[name].scaled(work_scale)
         base_spec = SimulationSpec(
@@ -155,12 +155,7 @@ def run_fig2(
             seed=seed,
         )
         specs.append(base_spec)
-        per_app = []
-        for policy_template in templates:
-            policy = _fresh_policy(policy_template)
-            specs.append(replace_scheduler(base_spec, policy))
-            per_app.append(policy.name)
-        policy_names.append(per_app)
+        specs += [replace_scheduler(base_spec, policy) for policy in templates]
 
     results = run_many(specs, jobs=jobs, progress=progress)
 
@@ -170,48 +165,17 @@ def run_fig2(
         chunk = results[row_i * stride : (row_i + 1) * stride]
         linux_t = chunk[0].mean_target_turnaround_us()
         cells = []
-        for policy_name, result in zip(policy_names[row_i], chunk[1:]):
+        for policy, result in zip(templates, chunk[1:]):
             t = result.mean_target_turnaround_us()
             cells.append(
                 Fig2Cell(
-                    policy=policy_name,
+                    policy=policy.name,
                     turnaround_us=t,
                     improvement_percent=improvement_percent(linux_t, t),
                 )
             )
         rows.append(Fig2Row(name=name, linux_turnaround_us=linux_t, cells=tuple(cells)))
     return rows
-
-
-def _fresh_policy(template: BandwidthPolicy) -> BandwidthPolicy:
-    """Clone a policy template so estimator state never crosses runs."""
-    from ..core.policies import EwmaPolicy, OraclePolicy  # avoid import cycle noise
-    from ..core.policies_model import ModelDrivenPolicy
-
-    shared = dict(
-        bus_capacity_txus=template.bus_capacity_txus,
-        fitness_fn=template._fitness_fn,
-        fitness_scale=template._fitness_scale,
-        incremental=template.incremental,
-    )
-    if isinstance(template, ModelDrivenPolicy):  # before its QuantaWindow base
-        return ModelDrivenPolicy(
-            model=template.model,
-            idle_penalty=template.idle_penalty,
-            fairness_weight=template.fairness_weight,
-            saturation_inflation=template.saturation_inflation,
-            use_peak=template.use_peak,
-            window_length=template.window_length,
-            **shared,
-        )
-    if isinstance(template, QuantaWindowPolicy):
-        return QuantaWindowPolicy(window_length=template.window_length, **shared)
-    if isinstance(template, EwmaPolicy):
-        return EwmaPolicy(alpha=template.alpha, **shared)
-    if isinstance(template, OraclePolicy):
-        return OraclePolicy(true_rates=dict(template._true), **shared)
-    # LatestQuantum, RandomGang, and other stateless-constructor policies.
-    return type(template)(**shared)
 
 
 def replace_scheduler(spec: SimulationSpec, policy: BandwidthPolicy) -> SimulationSpec:

@@ -41,29 +41,32 @@ latency is determined by two regimes:
   delivers its full sustained bandwidth, as STREAM demonstrates on the real
   platform. ``Σ a_i(lam)`` is strictly decreasing (and convex: every term
   is ``r_i / (A_i + B_i·lam)`` with ``B_i >= 0``) in ``lam``, so this
-  equilibrium is unique. Two interchangeable root finders are provided,
-  selected by :attr:`repro.config.BusConfig.solver_mode`:
+  equilibrium is unique. The lane count (the number of requests) picks
+  the root finder; no option does:
 
-  * ``"bisect"`` (default) — grow a bracket from ``lam_c`` by doubling,
-    then bisect: the reference implementation.
-  * ``"newton"`` — guarded Newton with the analytic derivative,
-    warm-started from this model's *previous* saturated equilibrium (the
-    running set changes little between adjacent scheduling quanta, so the
-    previous root is an excellent seed). Convexity makes every Newton
-    iterate a lower bound on the root, so the iteration converges
-    monotonically; any step that leaves the known bracket falls back to a
-    bisection step. Both modes agree within ``fixed_point_tol``.
-  * ``"vector"`` — the newton iteration with all per-lane arithmetic
-    batched into numpy array kernels: one elementwise evaluation per
-    Newton step instead of a Python loop over lanes. The kernels compute
-    the *identical* IEEE-754 expression sequence (elementwise ``+ - × ÷``
-    round once, exactly like CPython floats) and reduce with ``cumsum``
-    (a strictly left-to-right scan, unlike ``np.sum``'s pairwise tree),
-    so every vector solve is **bitwise identical** to the newton solve it
-    replaces; below :data:`_VECTOR_MIN_LANES` lanes the scalar newton
-    loop runs instead (array-kernel launch overhead beats the loop there,
-    and the results are bit-equal either way). Lanes processed through
-    the batched kernels are counted on :attr:`BusModel.batched_lanes`.
+  * below :data:`_BATCH_MIN_LANES` lanes — grow a bracket from ``lam_c``
+    by doubling, then bisect. On the few lanes of the paper's 4-CPU
+    machine this beats the batched kernel's array set-up cost.
+  * at :data:`_BATCH_MIN_LANES` lanes or more — guarded Newton with the
+    analytic derivative, warm-started from this model's *previous*
+    saturated equilibrium (the running set changes little between
+    adjacent scheduling quanta, so the previous root is an excellent
+    seed). Convexity makes every Newton iterate a lower bound on the
+    root, so the iteration converges monotonically; any step that leaves
+    the known bracket falls back to a bisection step. Every per-lane
+    evaluation runs as one numpy kernel over the lane arrays. The kernels
+    compute the *identical* IEEE-754 expression sequence as the scalar
+    loop :meth:`BusModel._throughput_grad_hoisted` (elementwise
+    ``+ - × ÷`` round once, exactly like CPython floats) and reduce with
+    ``cumsum`` (a strictly left-to-right scan, unlike ``np.sum``'s
+    pairwise tree), so a batched solve is **bitwise identical** to scalar
+    guarded Newton; the tests keep that scalar loop as the oracle. Lanes
+    processed through the kernels are counted on
+    :attr:`BusModel.batched_lanes`.
+
+  Both finders agree within ``fixed_point_tol``.
+  :attr:`repro.config.BusConfig.solver_mode` is still accepted and
+  hashed, for the wire format, but selects nothing.
 
 Consequences (all matching Section 3 of the paper by construction):
 
@@ -88,7 +91,7 @@ matched back to the caller's request order (identical requests receive
 identical grants under both arbitration models, so the match is exact).
 Hit/miss accounting is surfaced via :attr:`BusModel.solve_calls`,
 :attr:`BusModel.cache_hits` and :attr:`BusModel.bisection_steps` (which
-counts throughput evaluations in *both* solver modes) for the performance
+counts throughput evaluations of *both* root finders) for the performance
 harness (``benchmarks/bench_perf.py``). The memo belongs to one model, so
 a run's solves never depend on what other runs in the same process did.
 """
@@ -120,10 +123,12 @@ __all__ = [
 #: still collapsing bit-level noise from request-order permutations.
 _CACHE_DECIMALS = 12
 
-#: Minimum lane count for the ``"vector"`` solver's numpy kernels. Below
-#: this, per-call array construction costs more than the scalar loop it
-#: replaces; the scalar newton path runs instead (bit-equal either way).
-_VECTOR_MIN_LANES = 4
+#: Lane count at which the saturation search switches from bisection to
+#: batched guarded Newton. Below it, building the lane arrays costs more
+#: than the bisection loop saves. Equal to the machine's
+#: ``_SOA_MIN_CPUS``: a machine below that size never solves this many
+#: lanes, so its results do not depend on this constant.
+_BATCH_MIN_LANES = 16
 
 
 def derive_mem_fraction(rate_txus: float, lam0_us: float, mem_exponent: float = 0.65) -> float:
@@ -222,11 +227,11 @@ class BusSolution:
     latency_us: float
     total_txus: float
     saturated: bool = False
-    #: Vector mode only: the grants' speed / actual columns as float64
+    #: Batched solves only: the grants' speed / actual columns as float64
     #: arrays (same bit patterns as the ``grants`` fields, request order).
-    #: ``None`` whenever the order guarantee cannot hold (scalar solves,
-    #: reordered memo hits). Observability of the batched kernel, excluded
-    #: from equality like the counters on ``RunResult``.
+    #: ``None`` whenever the order guarantee cannot hold (bisection
+    #: solves, reordered memo hits). Observability of the batched kernel,
+    #: excluded from equality like the counters on ``RunResult``.
     speeds_arr: "np.ndarray | None" = field(default=None, compare=False, repr=False)
     actuals_arr: "np.ndarray | None" = field(default=None, compare=False, repr=False)
 
@@ -267,16 +272,10 @@ class BusModel:
         self._c = config.contention_coeff
         self._alpha = config.mem_exponent
         self._tol = config.fixed_point_tol
-        # "vector" is the newton iteration with batched lane evaluation:
-        # it shares the warm-start slot and the saturation search; only the
-        # per-lane arithmetic differs (numpy kernels, bitwise identical —
-        # see module docstring).
-        self._newton = config.solver_mode in ("newton", "vector")
-        self._vector = config.solver_mode == "vector"
         # Warm-start slot: the previous *saturated* equilibrium latency of
         # this model (per machine, distinct from the LRU memo below). The
         # running set drifts little between adjacent quanta, so it seeds
-        # the newton search within a few ulps of the next root.
+        # the Newton search within a few ulps of the next root.
         self._last_lam: float | None = None
         self._solve_calls = 0
         self._cache_hits = 0
@@ -334,18 +333,18 @@ class BusModel:
     def bisection_steps(self) -> int:
         """Aggregate throughput evaluations spent in saturation searches.
 
-        Counts evaluations in both solver modes (the name is historical);
-        it is the work the memo caches and the newton path exist to cut.
+        Counts evaluations of both root finders (the name is historical);
+        it is the work the memo cache and the Newton finder exist to cut.
         """
         return self._bisection_steps
 
     @property
     def batched_lanes(self) -> int:
-        """Lanes evaluated through the vector mode's numpy kernels.
+        """Lanes evaluated through the batched Newton kernels.
 
-        Incremented by the lane count of every shared-latency solve that
-        took the batched path (``solver_mode="vector"`` and at least
-        :data:`_VECTOR_MIN_LANES` requests); zero in the scalar modes.
+        Incremented by the lane count of every shared-latency solve of at
+        least :data:`_BATCH_MIN_LANES` requests; zero while every solve
+        is narrower.
         """
         return self._batched_lanes
 
@@ -518,6 +517,10 @@ class BusModel:
         algebraic collapse of :meth:`speed_at_latency`'s expression), so
         the derivative is ``-r·D'/D²`` — one extra multiply per thread on
         top of the plain evaluation.
+
+        No solve calls this: it is the scalar oracle that the tests drive
+        :meth:`_saturation_root_newton` with, to check that the batched
+        kernel matches it bit for bit.
         """
         lam0 = self._lam0
         total = 0.0
@@ -535,10 +538,9 @@ class BusModel:
 
     def _saturation_root_newton(
         self,
-        params: list[tuple[float, float, float, float]],
+        grad_eval: Callable[[float], tuple[float, float]],
         lam_c: float,
         cap: float,
-        grad_eval: "Callable[[float], tuple[float, float]] | None" = None,
     ) -> tuple[float, int]:
         """Solve ``throughput(lam) = cap`` by warm-started guarded Newton.
 
@@ -552,9 +554,10 @@ class BusModel:
         ``(lo, hi)`` bracket, falling back to a bisection step (or bracket
         doubling while ``hi`` is unknown) whenever Newton would leave it.
 
-        ``grad_eval`` substitutes the throughput/derivative evaluation —
-        the vector mode passes its batched numpy kernel, which returns the
-        bitwise-identical values, so the iterate sequence is unchanged.
+        ``grad_eval(lam)`` returns the aggregate throughput and its
+        derivative: the batched numpy kernel in production, or the scalar
+        :meth:`_throughput_grad_hoisted` loop, which returns bitwise the
+        same values, so both give the same iterate sequence.
 
         Returns ``(root, evaluations)``.
         """
@@ -569,10 +572,7 @@ class BusModel:
         steps = 0
         for _ in range(200):
             steps += 1
-            if grad_eval is not None:
-                g, dg = grad_eval(x)
-            else:
-                g, dg = self._throughput_grad_hoisted(params, x)
+            g, dg = grad_eval(x)
             g -= cap
             if g > 0.0:
                 lo = max(lo, x)
@@ -610,29 +610,12 @@ class BusModel:
             total += a
         return tuple(grants), total
 
-    def _throughput(self, requests: Sequence[BusRequest], lam: float) -> float:
-        """Aggregate actual rate if every thread saw latency ``lam``."""
-        total = 0.0
-        for req in requests:
-            total += req.rate_txus * self.speed_at_latency(req, lam)
-        return total
+    # ------------------------------------------------- batched lane kernels
 
-    def _grants_at(self, requests: Sequence[BusRequest], lam: float) -> tuple[tuple[ThreadGrant, ...], float]:
-        grants = []
-        total = 0.0
-        for req in requests:
-            s = self.speed_at_latency(req, lam)
-            a = req.rate_txus * s
-            grants.append(ThreadGrant(speed=s, actual_txus=a))
-            total += a
-        return tuple(grants), total
-
-    # ---------------------------------------------------- vector lane batch
-
-    def _vector_lanes(
+    def _lane_arrays(
         self, requests: Sequence[BusRequest]
     ) -> tuple["np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray"]:
-        """Hoist per-request constants into lane arrays (vector mode).
+        """Hoist per-request constants into lane arrays (batched Newton).
 
         Array analogue of :meth:`_speed_params`: one float64 slot per lane
         for ``r``, ``m``, ``1-m`` and ``1 + beta·(1-m)``, built with the
@@ -651,22 +634,22 @@ class BusModel:
         gcoef = r * ((m * unfair) / self._lam0)
         return r, m, one_minus_m, unfair, gcoef
 
-    def _solve_shared_latency_vector(self, requests: Sequence[BusRequest]) -> BusSolution:
-        """Shared-latency equilibrium with numpy-batched lane evaluation.
+    def _solve_shared_latency_batched(self, requests: Sequence[BusRequest]) -> BusSolution:
+        """Shared-latency equilibrium by guarded Newton over lane arrays.
 
-        Control flow is the newton solve verbatim — sub-saturation check,
-        guarded-Newton saturation search, grant fold — with every per-lane
-        Python loop replaced by one elementwise kernel over the lane
-        arrays. Reductions use ``cumsum`` (strictly left-to-right, the
-        accumulation order of the scalar loops; ``np.sum``'s pairwise tree
-        would round differently), and ``tolist()`` hands back the exact
-        float64 bit patterns, so the returned :class:`BusSolution` is
-        bitwise identical to the scalar newton mode's.
+        Sub-saturation check, guarded-Newton saturation search and grant
+        fold, each as one elementwise kernel over the lane arrays instead
+        of a Python loop over lanes. Reductions use ``cumsum`` (strictly
+        left-to-right, the accumulation order of the scalar loops;
+        ``np.sum``'s pairwise tree would round differently), and
+        ``tolist()`` hands back the exact float64 bit patterns, so the
+        returned :class:`BusSolution` is bitwise identical to the same
+        search driven by the scalar :meth:`_throughput_grad_hoisted`.
         """
         self._batched_lanes += len(requests)
         cap = self._capacity
         lam0 = self._lam0
-        r, m, one_minus_m, unfair, gcoef = self._vector_lanes(requests)
+        r, m, one_minus_m, unfair, gcoef = self._lane_arrays(requests)
 
         def speeds_at(lam: float) -> "np.ndarray":
             # speed_at_latency, elementwise: lanes with m == 0 fall out
@@ -706,7 +689,7 @@ class BusModel:
         throughput_c, _ = thr_grad(lam_c)
         if throughput_c <= cap:
             return solution_at(lam_c, saturated=False)
-        lam, steps = self._saturation_root_newton([], lam_c, cap, grad_eval=thr_grad)
+        lam, steps = self._saturation_root_newton(thr_grad, lam_c, cap)
         self._bisection_steps += steps
         self._last_lam = lam
         return solution_at(lam, saturated=True)
@@ -714,8 +697,8 @@ class BusModel:
     # ------------------------------------------------------------------
 
     def _solve_shared_latency(self, requests: Sequence[BusRequest]) -> BusSolution:
-        if self._vector and len(requests) >= _VECTOR_MIN_LANES:
-            return self._solve_shared_latency_vector(requests)
+        if len(requests) >= _BATCH_MIN_LANES:
+            return self._solve_shared_latency_batched(requests)
         cap = self._capacity
         offered = 0.0
         for req in requests:
@@ -732,12 +715,6 @@ class BusModel:
         # otherwise throughput could not exceed capacity ... a thread with
         # m == 0 contributes a constant term, which is fine: the remaining
         # threads absorb the slowdown).
-        if self._newton:
-            lam, steps = self._saturation_root_newton(params, lam_c, cap)
-            self._bisection_steps += steps
-            self._last_lam = lam
-            grants, total = self._grants_at_hoisted(params, lam)
-            return BusSolution(grants, 1.0, lam, total, saturated=True)
         steps = 0
         lo = lam_c
         hi = lam_c * 2.0

@@ -39,7 +39,7 @@ are the same storage. Machines with at least :data:`_SOA_MIN_CPUS`
 logical CPUs run fully batched passes over the store — lane entry build,
 advance, horizon scan, transition detection — each bit-identical to the
 scalar lane loops that smaller machines run. The choice depends only on
-the machine size, never on the bus solver mode.
+the machine size.
 """
 
 from __future__ import annotations

@@ -87,8 +87,8 @@ class RunResult:
         Bus contention-solver work during the run (see
         :class:`repro.hw.bus.BusModel`): total ``solve`` invocations, how
         many were answered from the memo cache, and aggregate root-finder
-        throughput evaluations (bisection or guarded Newton, depending on
-        ``BusConfig.solver_mode``). The performance harness
+        throughput evaluations (bisection or batched guarded Newton,
+        depending on how many lanes each solve had). The performance harness
         (``benchmarks/bench_perf.py``) sums these across a whole
         experiment grid.
     bus_shared_hits:
@@ -124,7 +124,7 @@ class RunResult:
         ``dynamic``, they participate in equality.
 
     All solver counters and the profile are *observability*, not physics:
-    they vary with cache warmth and solver mode while the simulated
+    they vary with cache warmth and solver internals while the simulated
     trajectory stays bit-identical, so they are excluded from equality
     comparisons (``compare=False``).
     """

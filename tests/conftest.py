@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.config import BusConfig, CacheConfig, LinuxSchedConfig, MachineConfig, ManagerConfig
+import repro.hw.bus as bus_module
 import repro.hw.machine as machine_module
 from repro.hw.machine import Machine
 from repro.sim.engine import Engine
@@ -59,11 +60,9 @@ def tiny_machine_config() -> MachineConfig:
     return MachineConfig(n_cpus=2)
 
 
-#: Every solver mode with and without SMT: the scalar and SoA machine
-#: paths must agree bit for bit on each.
-PATH_CASES = [
-    (mode, smt_ways) for mode in ("bisect", "newton", "vector") for smt_ways in (1, 2)
-]
+#: SMT ways per core: the scalar and SoA machine paths must agree bit for
+#: bit with and without SMT.
+PATH_CASES = [1, 2]
 
 
 @contextlib.contextmanager
@@ -76,4 +75,17 @@ def machine_path(soa: bool) -> Iterator[None]:
     """
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(machine_module, "_SOA_MIN_CPUS", 1 if soa else sys.maxsize)
+        yield
+
+
+@contextlib.contextmanager
+def bus_finder(batched: bool) -> Iterator[None]:
+    """Force every bus solve inside the block onto one root finder.
+
+    ``batched=True`` selects the batched guarded-Newton kernel and
+    ``batched=False`` bisection, whatever the lane count. Forked
+    ``run_many`` workers started inside the block inherit the choice.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bus_module, "_BATCH_MIN_LANES", 1 if batched else sys.maxsize)
         yield

@@ -6,8 +6,11 @@ floats, the same orderings, the same dataclasses — between ``jobs=1`` and
 (global instance counters, set iteration order) would show up here.
 """
 
-from repro.experiments.fig2 import run_fig2
+from repro.config import ManagerConfig
+from repro.experiments.base import SimulationSpec, run_simulation
+from repro.experiments.fig2 import _background, default_policies, run_fig2
 from repro.parallel import run_many
+from repro.workloads.suites import PAPER_APPS
 from tests.test_parallel import _specs
 
 _KW = dict(work_scale=0.05, apps=["Barnes", "CG"], seed=7)
@@ -41,3 +44,15 @@ class TestRunResultDeterminism:
             assert s.target_names == p.target_names
             assert s.bus_solve_calls == p.bus_solve_calls
             assert s.bus_cache_hits == p.bus_cache_hits
+
+    def test_same_spec_run_twice_gives_equal_results(self):
+        # The policy instance inside a spec learns during a run; reusing
+        # the spec must not carry that state into the next run.
+        app = PAPER_APPS["CG"].scaled(0.1)
+        for policy in default_policies(ManagerConfig()):
+            spec = SimulationSpec(
+                targets=[app, app], background=_background("A"),
+                scheduler=policy, seed=42,
+            )
+            first = run_simulation(spec)
+            assert run_simulation(spec) == first

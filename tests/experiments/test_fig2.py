@@ -4,12 +4,7 @@ import pytest
 
 from repro.core.policies import EwmaPolicy, LatestQuantumPolicy, QuantaWindowPolicy
 from repro.errors import ConfigError
-from repro.experiments.fig2 import (
-    WORKLOAD_SETS,
-    _fresh_policy,
-    format_fig2,
-    run_fig2,
-)
+from repro.experiments.fig2 import WORKLOAD_SETS, format_fig2, run_fig2
 
 
 @pytest.fixture(scope="module")
@@ -54,25 +49,31 @@ class TestShapes:
 
 
 class TestPolicyCloning:
+    """Every run learns on its own copy of a policy template."""
+
+    def _run(self, template):
+        return run_fig2("A", work_scale=0.05, apps=["CG"], policies=[template])
+
     def test_fresh_window_policy(self):
         template = QuantaWindowPolicy(window_length=7)
-        template.on_sample(1, 5.0)
-        clone = _fresh_policy(template)
-        assert clone is not template
-        assert clone.window_length == 7
-        assert clone.estimate(1) is None  # no state leakage
+        first = self._run(template)
+        assert template.window_length == 7
+        assert template.estimate(1) is None  # no state leaked back
+        assert self._run(template) == first
 
     def test_fresh_latest_policy(self):
         template = LatestQuantumPolicy(bus_capacity_txus=20.0)
-        template.on_quantum(1, 5.0)
-        clone = _fresh_policy(template)
-        assert clone.bus_capacity_txus == 20.0
-        assert clone.estimate(1) is None
+        first = self._run(template)
+        assert template.bus_capacity_txus == 20.0
+        assert template.estimate(1) is None
+        assert self._run(template) == first
 
     def test_fresh_ewma_policy(self):
         template = EwmaPolicy(alpha=0.25)
-        clone = _fresh_policy(template)
-        assert clone.alpha == 0.25
+        first = self._run(template)
+        assert template.alpha == 0.25
+        assert template.estimate(1) is None
+        assert first[0].cells[0].policy == template.name
 
 
 class TestFormatting:

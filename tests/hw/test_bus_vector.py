@@ -1,14 +1,14 @@
-"""Vectorized solver: bit-identity with newton, plus lane-array plumbing.
+"""Batched Newton finder: bit-identity with scalar Newton, and the selector.
 
-``solver_mode="vector"`` keeps the guarded-Newton control flow but runs
-the per-lane kernels as numpy array expressions. Unlike the newton mode
-(which only has to agree with bisection to solver tolerance), the vector
-mode's contract is *bit-identity with newton*: every elementwise numpy op
-rounds exactly like the scalar float op, and the reductions are strict
-left-to-right ``cumsum`` folds — so equality below is ``==``, never
-``approx``. The module also covers the ``batched_lanes`` counter, the
-sub-:data:`_VECTOR_MIN_LANES` scalar fallback, the ``speeds_arr`` /
-``actuals_arr`` plumbing used by the machine's settle path.
+Wide bus solves run guarded Newton with every per-lane evaluation as a
+numpy array expression. Its contract is *bit-identity* with the same
+search driven by the scalar loop ``BusModel._throughput_grad_hoisted``:
+every elementwise numpy op rounds exactly like the scalar float op, and
+the reductions are strict left-to-right ``cumsum`` folds — so equality
+below is ``==``, never ``approx``. The module also covers the lane-count
+selector (bisection below :data:`_BATCH_MIN_LANES`), the
+``batched_lanes`` counter and the ``speeds_arr`` / ``actuals_arr``
+plumbing used by the machine's settle path.
 """
 
 import pytest
@@ -16,17 +16,41 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import BusConfig
-from repro.hw.bus import _VECTOR_MIN_LANES, BusModel
+from repro.hw.bus import _BATCH_MIN_LANES, BusModel, BusSolution
+from tests.conftest import bus_finder
 
 _rates = st.floats(min_value=0.0, max_value=60.0, allow_nan=False, allow_infinity=False)
-_request_lists = st.lists(_rates, min_size=1, max_size=10)
-_wide_request_lists = st.lists(_rates, min_size=_VECTOR_MIN_LANES, max_size=16)
+_request_lists = st.lists(_rates, min_size=1, max_size=24)
+_wide_request_lists = st.lists(_rates, min_size=_BATCH_MIN_LANES, max_size=24)
 
 
-def _pair(**kwargs) -> tuple[BusModel, BusModel]:
-    newton = BusModel(BusConfig(solver_mode="newton", **kwargs))
-    vector = BusModel(BusConfig(solver_mode="vector", **kwargs))
-    return newton, vector
+def _solve(bus: BusModel, rates) -> BusSolution:
+    return bus.solve([bus.request_for_rate(r) for r in rates])
+
+
+def _scalar_newton_solve(bus: BusModel, rates) -> BusSolution:
+    """The batched solve, step for step, on the scalar lane loops: the oracle."""
+    requests = [bus.request_for_rate(r) for r in rates]
+    cap = bus.capacity
+    offered = 0.0
+    for req in requests:
+        offered += req.rate_txus
+    lam_c = bus.contention_latency(offered / cap)
+    params = bus._speed_params(requests)
+    if bus._throughput_hoisted(params, lam_c) <= cap:
+        grants, total = bus._grants_at_hoisted(params, lam_c)
+        return BusSolution(grants, total / cap, lam_c, total, saturated=False)
+    lam, _ = bus._saturation_root_newton(
+        lambda x: bus._throughput_grad_hoisted(params, x), lam_c, cap
+    )
+    bus._last_lam = lam  # the warm start the batched solve keeps too
+    grants, total = bus._grants_at_hoisted(params, lam)
+    return BusSolution(grants, 1.0, lam, total, saturated=True)
+
+
+def _batched(rates, bus: BusModel) -> BusSolution:
+    with bus_finder(batched=True):
+        return _solve(bus, rates)
 
 
 class TestSolverModeConfig:
@@ -34,15 +58,15 @@ class TestSolverModeConfig:
         assert BusConfig(solver_mode="vector").solver_mode == "vector"
 
     def test_vector_counter_starts_at_zero(self):
-        assert BusModel(BusConfig(solver_mode="vector")).batched_lanes == 0
+        assert BusModel(BusConfig()).batched_lanes == 0
 
 
 @given(_request_lists)
 @settings(max_examples=300, deadline=None)
 def test_vector_solution_is_bit_identical_to_newton(rates):
-    newton, vector = _pair()
-    sol_n = newton.solve([newton.request_for_rate(r) for r in rates])
-    sol_v = vector.solve([vector.request_for_rate(r) for r in rates])
+    oracle = BusModel(BusConfig())
+    sol_n = _scalar_newton_solve(oracle, rates)
+    sol_v = _batched(rates, BusModel(BusConfig()))
     # Full structural equality — saturation flag, latency, utilisation,
     # totals and every grant — at the last ulp, not to tolerance.
     assert sol_v == sol_n
@@ -56,22 +80,23 @@ def test_vector_solution_is_bit_identical_to_newton(rates):
 @given(st.lists(_request_lists, min_size=2, max_size=6))
 @settings(max_examples=100, deadline=None)
 def test_vector_bit_identical_across_drifting_sequences(rate_lists):
-    # The vector mode shares newton's warm-start slot; identity must hold
-    # through a whole solve *sequence*, where each root seeds the next.
-    newton, vector = _pair(solve_cache_size=0)
+    # The warm-start slot carries each root into the next search;
+    # identity must hold through a whole solve *sequence*.
+    oracle = BusModel(BusConfig(solve_cache_size=0))
+    vector = BusModel(BusConfig(solve_cache_size=0))
     for rates in rate_lists:
-        sol_n = newton.solve([newton.request_for_rate(r) for r in rates])
-        sol_v = vector.solve([vector.request_for_rate(r) for r in rates])
-        assert sol_v == sol_n
+        assert _batched(rates, vector) == _scalar_newton_solve(oracle, rates)
 
 
-@given(_request_lists)
+@given(_wide_request_lists)
 @settings(max_examples=150, deadline=None)
 def test_vector_equilibrium_matches_bisect_within_tolerance(rates):
-    bisect = BusModel(BusConfig(solver_mode="bisect"))
-    vector = BusModel(BusConfig(solver_mode="vector"))
-    sol_b = bisect.solve([bisect.request_for_rate(r) for r in rates])
-    sol_v = vector.solve([vector.request_for_rate(r) for r in rates])
+    bisect = BusModel(BusConfig())
+    vector = BusModel(BusConfig())
+    with bus_finder(batched=False):
+        sol_b = _solve(bisect, rates)
+    sol_v = _solve(vector, rates)  # wide enough for the selector to batch
+    assert vector.batched_lanes == len(rates)
     tol = bisect.config.fixed_point_tol * bisect.lam0
     assert sol_v.saturated == sol_b.saturated
     assert sol_v.latency_us == pytest.approx(sol_b.latency_us, abs=2 * tol, rel=1e-6)
@@ -79,43 +104,57 @@ def test_vector_equilibrium_matches_bisect_within_tolerance(rates):
 
 
 class TestBatchedLanesCounter:
+    def _saturating(self, n: int) -> list[float]:
+        return [12.0 + 0.5 * i for i in range(n)]
+
     def test_wide_solve_counts_every_lane(self):
-        vector = BusModel(BusConfig(solver_mode="vector", solve_cache_size=0))
-        rates = [30.0 + i for i in range(6)]
-        vector.solve([vector.request_for_rate(r) for r in rates])
-        assert vector.batched_lanes == 6
-        vector.solve([vector.request_for_rate(r + 0.5) for r in rates])
-        assert vector.batched_lanes == 12
+        vector = BusModel(BusConfig(solve_cache_size=0))
+        rates = self._saturating(_BATCH_MIN_LANES)
+        assert _solve(vector, rates).saturated
+        assert vector.batched_lanes == _BATCH_MIN_LANES
+        _solve(vector, [r + 0.5 for r in rates])
+        assert vector.batched_lanes == 2 * _BATCH_MIN_LANES
+        assert vector.warm_starts == 1
 
     def test_narrow_solve_falls_back_to_scalar(self):
-        vector = BusModel(BusConfig(solver_mode="vector", solve_cache_size=0))
-        rates = [30.0 + i for i in range(_VECTOR_MIN_LANES - 1)]
-        vector.solve([vector.request_for_rate(r) for r in rates])
-        assert vector.batched_lanes == 0
+        # Below the threshold the selector bisects: no lane is batched and
+        # no search is warm-started, however saturated the bus.
+        for n in (4, _BATCH_MIN_LANES - 1):
+            bisect = BusModel(BusConfig(solve_cache_size=0))
+            for shift in range(3):
+                sol = _solve(bisect, [r + 0.1 * shift for r in self._saturating(n)])
+                assert sol.saturated
+            assert bisect.bisection_steps > 0
+            assert bisect.batched_lanes == 0
+            assert bisect.warm_starts == 0
 
-    def test_scalar_modes_never_batch(self):
-        newton = BusModel(BusConfig(solver_mode="newton", solve_cache_size=0))
-        rates = [30.0 + i for i in range(8)]
-        newton.solve([newton.request_for_rate(r) for r in rates])
-        assert newton.batched_lanes == 0
+    def test_solver_mode_never_changes_the_finder(self):
+        for mode in ("bisect", "newton", "vector"):
+            bus = BusModel(BusConfig(solver_mode=mode, solve_cache_size=0))
+            _solve(bus, self._saturating(8))
+            assert bus.batched_lanes == 0
+            _solve(bus, self._saturating(_BATCH_MIN_LANES))
+            assert bus.batched_lanes == _BATCH_MIN_LANES
 
-    @given(st.lists(_rates, min_size=1, max_size=_VECTOR_MIN_LANES - 1))
+    @given(st.lists(_rates, min_size=1, max_size=_BATCH_MIN_LANES - 1))
     @settings(max_examples=100, deadline=None)
     def test_narrow_fallback_is_bit_identical_too(self, rates):
-        newton, vector = _pair(solve_cache_size=0)
-        sol_n = newton.solve([newton.request_for_rate(r) for r in rates])
-        sol_v = vector.solve([vector.request_for_rate(r) for r in rates])
-        assert sol_v == sol_n
-        assert vector.batched_lanes == 0
+        selected = BusModel(BusConfig(solve_cache_size=0))
+        bisect = BusModel(BusConfig(solve_cache_size=0))
+        with bus_finder(batched=False):
+            forced = _solve(bisect, rates)
+        assert _solve(selected, rates) == forced
+        assert selected.batched_lanes == 0
 
 
 class TestLaneArrays:
     """``speeds_arr``/``actuals_arr``: the machine's batched-settle feed."""
 
+    _WIDE = [28.0 + 0.75 * i for i in range(_BATCH_MIN_LANES)]
+
     def test_wide_vector_solve_exposes_arrays_matching_grants(self):
-        vector = BusModel(BusConfig(solver_mode="vector", solve_cache_size=0))
-        rates = [28.0, 31.0, 34.0, 37.0, 40.0]
-        sol = vector.solve([vector.request_for_rate(r) for r in rates])
+        vector = BusModel(BusConfig(solve_cache_size=0))
+        sol = _solve(vector, self._WIDE)
         assert sol.speeds_arr is not None and sol.actuals_arr is not None
         # Same bits, request order — the machine folds these straight
         # into its lane arrays without touching the grant tuples.
@@ -123,29 +162,23 @@ class TestLaneArrays:
         assert sol.actuals_arr.tolist() == [g.actual_txus for g in sol.grants]
 
     def test_scalar_solve_has_no_arrays(self):
-        newton = BusModel(BusConfig(solver_mode="newton", solve_cache_size=0))
-        sol = newton.solve([newton.request_for_rate(r) for r in (30.0, 35.0, 40.0, 45.0)])
+        bisect = BusModel(BusConfig(solve_cache_size=0))
+        sol = _solve(bisect, (30.0, 35.0, 40.0, 45.0))
         assert sol.speeds_arr is None and sol.actuals_arr is None
 
     def test_reordered_memo_replay_drops_arrays(self):
         # A permuted replay reorders the grant tuple; the stored arrays
         # would still be in first-solve order, so they must not survive.
-        vector = BusModel(BusConfig(solver_mode="vector"))
-        rates = [28.0, 31.0, 34.0, 37.0]
-        first = vector.solve([vector.request_for_rate(r) for r in rates])
+        vector = BusModel(BusConfig())
+        first = _solve(vector, self._WIDE)
         assert first.speeds_arr is not None
-        replay = vector.solve(
-            [vector.request_for_rate(r) for r in reversed(rates)]
-        )
+        replay = _solve(vector, list(reversed(self._WIDE)))
         assert vector.cache_hits >= 1
         assert replay.speeds_arr is None and replay.actuals_arr is None
         assert replay.grants == tuple(reversed(first.grants))
 
     def test_arrays_do_not_affect_solution_equality(self):
-        vector = BusModel(BusConfig(solver_mode="vector", solve_cache_size=0))
-        newton = BusModel(BusConfig(solver_mode="newton", solve_cache_size=0))
-        rates = [28.0, 31.0, 34.0, 37.0]
-        sol_v = vector.solve([vector.request_for_rate(r) for r in rates])
-        sol_n = newton.solve([newton.request_for_rate(r) for r in rates])
+        sol_v = _solve(BusModel(BusConfig(solve_cache_size=0)), self._WIDE)
+        sol_n = _scalar_newton_solve(BusModel(BusConfig(solve_cache_size=0)), self._WIDE)
+        assert sol_v.speeds_arr is not None and sol_n.speeds_arr is None
         assert sol_v == sol_n  # despite one carrying arrays, one not
-

@@ -108,11 +108,9 @@ class TestSettleCounters:
         assert machine.settle_calls == before + 2
 
 
-def _path_pair(
-    mode: str = "newton", n_cpus: int = 8, smt_ways: int = 1
-) -> tuple[Machine, Machine]:
+def _path_pair(n_cpus: int = 8, smt_ways: int = 1) -> tuple[Machine, Machine]:
     """The same machine twice, forced onto the scalar and the SoA path."""
-    cfg = MachineConfig(n_cpus=n_cpus, smt_ways=smt_ways, bus=BusConfig(solver_mode=mode))
+    cfg = MachineConfig(n_cpus=n_cpus, smt_ways=smt_ways)
     with machine_path(soa=False):
         scalar = Machine(cfg, Engine())
     with machine_path(soa=True):
@@ -143,7 +141,7 @@ class TestPathSelector:
 
 
 class TestVectorSettleParity:
-    """Scalar and SoA settle paths: same bits, every solver mode and SMT."""
+    """Scalar and SoA settle paths: same bits, with and without SMT."""
 
     def _populate(self, machine: Machine, n: int = 6) -> list[int]:
         tids = []
@@ -172,8 +170,8 @@ class TestVectorSettleParity:
             assert soa.thread_speed(tid) == scalar.thread_speed(tid)
 
     def test_advance_is_bit_identical(self):
-        for mode, smt_ways in PATH_CASES:
-            pair = _path_pair(mode, smt_ways=smt_ways)
+        for smt_ways in PATH_CASES:
+            pair = _path_pair(smt_ways=smt_ways)
             tids, tids_soa = _mirror(pair, self._populate)
             assert tids == tids_soa
             for t in (1.0, 7.5, 40.0, 41.25):
@@ -181,8 +179,8 @@ class TestVectorSettleParity:
             self._assert_same_state(*pair, tids)
 
     def test_reconfiguration_sequence_is_bit_identical(self):
-        for mode, smt_ways in PATH_CASES:
-            pair = _path_pair(mode, smt_ways=smt_ways)
+        for smt_ways in PATH_CASES:
+            pair = _path_pair(smt_ways=smt_ways)
             tids, _ = _mirror(pair, self._populate)
             _mirror(pair, lambda m: m.advance_to(5.0))
             _mirror(pair, lambda m: m.set_blocked(tids[2], True))
@@ -204,15 +202,15 @@ class TestVectorSettleParity:
         assert soa.dirty_mask_hits >= 5
         assert scalar.dirty_mask_hits == 0
 
-    @pytest.mark.parametrize("mode,smt_ways", PATH_CASES)
-    def test_migration_on_solve_skip_path_accounts_correct_cache(self, mode, smt_ways):
+    @pytest.mark.parametrize("smt_ways", PATH_CASES)
+    def test_migration_on_solve_skip_path_accounts_correct_cache(self, smt_ways):
         # Regression: a lone thread's migration leaves the lane signature
         # unchanged (it encodes tids and rates, not CPU ids), so the entry
         # build takes the solve-skip path. The SoA advance must still
         # charge the *new* CPU's cache, like the scalar path's live
         # ``st.cpu`` read does: its lane handles are rebound from the
         # store's placement on every solve skip.
-        pair = _path_pair(mode, n_cpus=2, smt_ways=smt_ways)
+        pair = _path_pair(n_cpus=2, smt_ways=smt_ways)
         scalar, soa = pair
         # With SMT, logical CPUs 0..smt_ways-1 share core 0's cache; use
         # the first logical CPU of each core so the caches are distinct

@@ -8,8 +8,8 @@ Three layers of guarantees pinned here:
    land in the store arrays and direct array writes are visible through
    the attributes (policies, audit, faults and the batched machine loops
    share one source of truth).
-3. The SoA hot path is bit-identical to the scalar lane loops, under
-   every solver mode and with SMT, for randomized operation sequences —
+3. The SoA hot path is bit-identical to the scalar lane loops, with and
+   without SMT, for randomized operation sequences —
    drifting warm starts (rebuild-debt churn), migrations, blocking,
    stalls and mid-run kills — and under a full faulted simulation.
    The machine's incremental ready set must always equal the brute-force
@@ -25,7 +25,7 @@ from repro.config import BusConfig, MachineConfig
 from repro.hw.machine import Machine
 from repro.hw.store import BOOL_FIELDS, FLOAT_FIELDS, INT_FIELDS, ThreadStore
 from repro.sim.engine import Engine
-from tests.conftest import PATH_CASES, machine_path
+from tests.conftest import PATH_CASES, bus_finder, machine_path
 
 
 class _FlatDemand:
@@ -145,18 +145,18 @@ def _brute_force_ready(machine: Machine) -> list[int]:
     )
 
 
-def _mode_machine(mode: str, soa: bool, n_cpus: int = 4, smt_ways: int = 1) -> Machine:
-    cfg = MachineConfig(n_cpus=n_cpus, smt_ways=smt_ways, bus=BusConfig(solver_mode=mode))
+def _path_machine(
+    soa: bool, n_cpus: int = 4, smt_ways: int = 1, bus: BusConfig = BusConfig()
+) -> Machine:
+    cfg = MachineConfig(n_cpus=n_cpus, smt_ways=smt_ways, bus=bus)
     with machine_path(soa):
         return Machine(cfg, Engine())
 
 
-def _path_pair(mode: str, smt_ways: int) -> list[Machine]:
+def _path_pair(smt_ways: int) -> list[Machine]:
     """Scalar and SoA machines with 4 logical CPUs (2 cores × 2 under SMT)."""
     n_cpus = 4 // smt_ways
-    return [
-        _mode_machine(mode, soa, n_cpus=n_cpus, smt_ways=smt_ways) for soa in (False, True)
-    ]
+    return [_path_machine(soa, n_cpus=n_cpus, smt_ways=smt_ways) for soa in (False, True)]
 
 
 def _apply_random_ops(machines, seed: int, steps: int = 60, n_cpus: int = 4):
@@ -237,11 +237,12 @@ def _apply_random_ops(machines, seed: int, steps: int = 60, n_cpus: int = 4):
 
 
 class TestReadySetInvariant:
-    @pytest.mark.parametrize("mode", ["newton", "vector"])
+    # solver_mode is inert: any accepted value must leave the set exact.
+    @pytest.mark.parametrize("solver_mode", ["newton", "vector"])
     @pytest.mark.parametrize("seed", [0, 7, 23])
-    def test_ready_set_matches_brute_force(self, mode, seed):
+    def test_ready_set_matches_brute_force(self, solver_mode, seed):
         for soa in (False, True):
-            machine = _mode_machine(mode, soa)
+            machine = _path_machine(soa, bus=BusConfig(solver_mode=solver_mode))
             for _ in _apply_random_ops([machine], seed):
                 assert machine.ready_tids() == _brute_force_ready(machine)
                 runnable = machine.runnable_threads()
@@ -251,7 +252,7 @@ class TestReadySetInvariant:
 
     def test_occupancy_mirror_tracks_cpus(self):
         for soa in (False, True):
-            machine = _mode_machine("vector", soa)
+            machine = _path_machine(soa)
             for _ in _apply_random_ops([machine], seed=3):
                 for cpu in machine.cpus:
                     want = -1 if cpu.tid is None else cpu.tid
@@ -281,10 +282,10 @@ def _assert_stores_identical(a: Machine, b: Machine):
 class TestScalarVsSoAPropertyIdentity:
     """Randomized lifecycle sequences: scalar and SoA paths, same bits."""
 
-    @pytest.mark.parametrize("mode,smt_ways", PATH_CASES)
+    @pytest.mark.parametrize("smt_ways", PATH_CASES)
     @pytest.mark.parametrize("seed", [1, 5, 12, 31, 48])
-    def test_random_op_sequences_bit_identical(self, seed, mode, smt_ways):
-        scalar, soa = machines = _path_pair(mode, smt_ways)
+    def test_random_op_sequences_bit_identical(self, seed, smt_ways):
+        scalar, soa = machines = _path_pair(smt_ways)
         assert soa.soa_store is not None and scalar.soa_store is None
         for _ in _apply_random_ops(machines, seed):
             assert soa.horizon() == scalar.horizon()
@@ -292,8 +293,8 @@ class TestScalarVsSoAPropertyIdentity:
         assert soa.bus_total_txus == scalar.bus_total_txus
 
     def test_thread_speed_matches_scalar_lookup(self):
-        for mode, smt_ways in PATH_CASES:
-            scalar, soa = machines = _path_pair(mode, smt_ways)
+        for smt_ways in PATH_CASES:
+            scalar, soa = machines = _path_pair(smt_ways)
             for _ in _apply_random_ops(machines, seed=9, steps=20):
                 for t in scalar.threads():
                     assert soa.thread_speed(t.tid) == scalar.thread_speed(t.tid)
@@ -302,8 +303,9 @@ class TestScalarVsSoAPropertyIdentity:
 class TestFaultedRunIdentity:
     def test_faulted_simulation_bit_identical_newton_vs_vector(self):
         # Faults add mid-quantum app crashes (immediate disconnect), hangs
-        # (stalls) and PMC/signal perturbations — vector on the SoA path
-        # must track newton on the scalar lane loops through all of them.
+        # (stalls) and PMC/signal perturbations — with the batched Newton
+        # finder forced, the SoA path must track the scalar lane loops
+        # through all of them.
         from repro.core.policies import QuantaWindowPolicy
         from repro.experiments.base import SimulationSpec, run_simulation
         from repro.faults import FaultPlan
@@ -315,7 +317,7 @@ class TestFaultedRunIdentity:
             hang_prob=0.2, stall_prob=0.3,
         )
 
-        def spec(mode):
+        def spec():
             apps = [PAPER_APPS[n].scaled(0.05) for n in ("CG", "Barnes")]
             return SimulationSpec(
                 targets=[apps[0], apps[0], apps[1]],
@@ -323,18 +325,17 @@ class TestFaultedRunIdentity:
                 scheduler=QuantaWindowPolicy(),
                 machine=MachineConfig(
                     n_cpus=8,
-                    bus=BusConfig(
-                        solver_mode=mode,
-                        capacity_txus=BusConfig().capacity_txus * 2.0,
-                    ),
+                    bus=BusConfig(capacity_txus=BusConfig().capacity_txus * 2.0),
                 ),
                 seed=11,
                 faults=plan,
             )
 
-        with machine_path(soa=False):
-            ref = run_simulation(spec("newton"))
-        with machine_path(soa=True):
-            vec = run_simulation(spec("vector"))
+        with bus_finder(batched=True):
+            with machine_path(soa=False):
+                ref = run_simulation(spec())
+            with machine_path(soa=True):
+                vec = run_simulation(spec())
+        assert ref.bus_warm_starts > 0
         assert vec == ref
         assert vec.apps == ref.apps
