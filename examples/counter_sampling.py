@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Reading performance counters the way the paper's runtime does.
 
-Demonstrates the low-level monitoring stack: open a ``perfctr``-style
-virtual counter per thread, sample twice per 200 ms quantum while a bursty
+Demonstrates the low-level monitoring stack: read each thread's
+virtualized counters (the machine's ``CounterBank``, which models the
+``perfctr`` driver the paper uses) twice per 200 ms quantum while a bursty
 application runs next to a streaming antagonist, and print the live
 per-thread bandwidth trace — the exact signal the CPU manager's policies
 consume from the shared arena.
@@ -13,7 +14,6 @@ Usage::
 """
 
 from repro import Engine, Machine, MachineConfig
-from repro.hw.perfctr import PerfctrDriver
 from repro.sim.events import EventPriority
 from repro.workloads import bbma_spec, paper_app
 from repro.workloads.base import Application
@@ -33,9 +33,8 @@ def main() -> None:
     machine.dispatch(1, raytrace.tids[1])
     machine.dispatch(2, bbma.tids[0])
 
-    driver = PerfctrDriver(machine.counters)
-    handles = {tid: driver.open(tid) for tid in raytrace.tids + bbma.tids}
-    previous = {tid: h.read() for tid, h in handles.items()}
+    tids = raytrace.tids + bbma.tids
+    previous = {tid: machine.counters.read(tid) for tid in tids}
 
     sample_period = 100_000.0  # twice per 200 ms quantum, as in the paper
     print(f"{'t (ms)':>7s}" + "".join(f"{name:>14s}" for name in
@@ -44,10 +43,10 @@ def main() -> None:
     def sample() -> None:
         nonlocal previous
         row = f"{engine.now / 1e3:7.0f}"
-        for tid in raytrace.tids + bbma.tids:
-            now_reading = handles[tid].read()
+        for tid in tids:
+            now_reading = machine.counters.read(tid)
             prev = previous[tid]
-            dt = now_reading.tsc_us - prev.tsc_us
+            dt = now_reading.cycles_us - prev.cycles_us
             rate = (now_reading.bus_transactions - prev.bus_transactions) / dt if dt > 0 else 0.0
             previous[tid] = now_reading
             row += f"{rate:11.2f} tx"

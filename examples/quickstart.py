@@ -19,9 +19,13 @@ Usage::
 
 import argparse
 
-from repro import LatestQuantumPolicy, QuantaWindowPolicy, SimulationSpec, solo_run
-from repro.experiments.base import run_simulation_with_handle
-from repro.metrics.gantt import render_gantt
+from repro import (
+    LatestQuantumPolicy,
+    QuantaWindowPolicy,
+    SimulationSpec,
+    run_simulation,
+    solo_run,
+)
 from repro.metrics.stats import improvement_percent, slowdown
 from repro.workloads import bbma_spec, paper_app
 
@@ -43,7 +47,6 @@ def main() -> None:
     print()
 
     results = {}
-    charts = {}
     for label, scheduler in [
         ("linux", "linux"),
         ("latest-quantum", LatestQuantumPolicy()),
@@ -55,8 +58,7 @@ def main() -> None:
             scheduler=scheduler,
             seed=args.seed,
         )
-        results[label], handle = run_simulation_with_handle(spec)
-        charts[label] = render_gantt(handle.machine, width=64)
+        results[label] = run_simulation(spec)
 
     linux_t = results["linux"].mean_target_turnaround_us()
     print(f"{'scheduler':16s} {'turnaround':>12s} {'slowdown':>9s} {'vs linux':>9s}")
@@ -67,13 +69,9 @@ def main() -> None:
             f"{label:16s} {t / 1e3:9.0f} ms {slowdown(t, solo_t):8.2f}x {imp:+8.1f}%"
         )
     print()
-    for label in ("linux", "quanta-window"):
-        print(f"--- CPU occupancy under {label} ---")
-        print(charts[label])
-        print()
     print("The policies co-schedule jobs whose per-thread bandwidth matches the")
-    print("remaining per-processor bus budget (Equation 1): the Gantt charts")
-    print("show Linux's thread soup vs the manager's clean gang quanta.")
+    print("remaining per-processor bus budget (Equation 1) instead of time-sharing")
+    print("every thread, so the bus-bound targets stop stalling each other.")
 
 
 if __name__ == "__main__":

@@ -134,10 +134,6 @@ class SignalDispatcher:
         """Install (or clear) the audit callback for applied deliveries."""
         self._audit_deliver = hook
 
-    def is_departed(self, tid: int) -> bool:
-        """Whether deliveries to ``tid`` are currently muted (departed)."""
-        return tid in self._departed
-
     @property
     def signals_sent(self) -> int:
         """Total signals the manager has sent (one per application per change)."""

@@ -214,6 +214,18 @@ class OpenSystemDriver:
         """Jobs in the (possibly trace-bounded) arrival schedule."""
         return len(self._jobs)
 
+    @property
+    def schedule_span_us(self) -> float:
+        """The last arrival plus every scheduled job's standalone CPU work.
+
+        Run back to back on one CPU at standalone speed, every job would
+        be done by then. The harness extends its safety limit by this
+        span, so a long schedule (100k jobs at 0.5/s arrive over ~55 h)
+        is not cut short by a limit fixed in advance.
+        """
+        last = max((j.arrival_us for j in self._jobs), default=0.0)
+        return last + sum(j.spec.work_per_thread_us * j.spec.n_threads for j in self._jobs)
+
     # ------------------------------------------------------------------ arrivals
 
     def _arrive(self, job: _LiveJob) -> None:

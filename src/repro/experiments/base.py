@@ -79,7 +79,10 @@ class SimulationSpec:
     seed:
         Root seed for all random streams.
     max_time_us:
-        Safety limit on simulated time.
+        Safety limit on simulated time. A ``dynamic`` run may go on for
+        this long past its schedule's span (last arrival plus total
+        standalone work), since the span is only known once the driver
+        has sampled the schedule.
     dedicated_migration_interval_us:
         Optional seeded migration process for dedicated runs (Figure 1's
         occasional kernel rebalances).
@@ -392,7 +395,10 @@ def run_simulation_with_handle(
             and (handle.dynamic is None or handle.dynamic.all_done)
         )
 
-    handle.engine.run(advancer=handle.machine, stop=done, max_time=spec.max_time_us)
+    max_time = spec.max_time_us
+    if handle.dynamic is not None:
+        max_time += handle.dynamic.schedule_span_us
+    handle.engine.run(advancer=handle.machine, stop=done, max_time=max_time)
     if not done():
         raise ConfigError(
             "simulation went quiescent before all targets finished "

@@ -44,7 +44,6 @@ from ..dynamic import (
 from ..errors import ConfigError
 from ..metrics.queueing import QueueingSummary, batch_means_ci, summarize_queueing
 from ..parallel import run_many
-from ..units import seconds
 from .base import SimulationSpec
 from .reporting import format_table
 
@@ -326,7 +325,6 @@ def run_dynamic_sweep(
                 linux=linux,
                 seed=seed,
                 dynamic=workload,
-                max_time_us=seconds(3600),
             )
             for r in range(replications):
                 specs.append(

@@ -11,8 +11,6 @@ Subsystems
   dispatch/context-switch accounting).
 * :mod:`repro.hw.counters` — monotone per-thread performance-monitoring
   counters (bus transactions, cycles).
-* :mod:`repro.hw.perfctr` — a driver-style API over the counters, modelled
-  on the Linux ``perfctr`` driver the paper uses.
 * :mod:`repro.hw.machine` — the assembled machine: settles thread progress
   over time intervals using the bus and cache models (the engine's
   :class:`~repro.sim.engine.Advancer`).
@@ -25,7 +23,6 @@ from .bus import BusModel, BusRequest, BusSolution, ThreadGrant
 from .counters import CounterBank, CounterSnapshot
 from .cpu import Cpu
 from .machine import Machine, ThreadState
-from .perfctr import PerfctrDriver, VPerfCtr
 from .store import ThreadStore
 
 __all__ = [
@@ -39,6 +36,4 @@ __all__ = [
     "Machine",
     "ThreadState",
     "ThreadStore",
-    "PerfctrDriver",
-    "VPerfCtr",
 ]

@@ -395,24 +395,6 @@ class BusModel:
             raise ValueError(f"negative offered-demand ratio {rho}")
         return self._lam0 * (1.0 + self._c * rho * rho)
 
-    def speed_at_latency(self, req: BusRequest, lam: float) -> float:
-        """Execution speed of one thread at base latency ``lam``.
-
-        The thread's *effective* latency includes the arbitration
-        unfairness term: ``lam_eff = lam0 + (lam - lam0)·(1 + beta·(1-m))``
-        — streaming requesters (m → 1) pay the base contention penalty;
-        sparse requesters re-arbitrate per transaction and pay up to
-        ``(1 + beta)`` times more of it. At ``lam = lam0`` every thread
-        runs at its solo speed regardless of ``beta``.
-        """
-        m = req.mem_fraction
-        if m == 0.0:
-            return 1.0
-        beta = self._cfg.unfairness
-        lam_eff = self._lam0 + (lam - self._lam0) * (1.0 + beta * (1.0 - m))
-        denom = (1.0 - m) + m * (lam_eff / self._lam0)
-        return 1.0 / denom
-
     def solve(self, requests: Sequence[BusRequest]) -> BusSolution:
         """Compute the contention equilibrium for the running thread set.
 
@@ -478,12 +460,18 @@ class BusModel:
     def _speed_params(
         self, requests: Sequence[BusRequest]
     ) -> list[tuple[float, float, float, float]]:
-        """Hoist the per-request constants of :meth:`speed_at_latency`.
+        """Hoist the per-request constants of the speed formula.
+
+        A thread's *effective* latency includes the arbitration
+        unfairness term: ``lam_eff = lam0 + (lam - lam0)·(1 + beta·(1-m))``
+        — streaming requesters (m → 1) pay the base contention penalty;
+        sparse requesters re-arbitrate per transaction and pay up to
+        ``(1 + beta)`` times more of it. Its speed is
+        ``1 / ((1-m) + m·lam_eff/lam0)``, so at ``lam = lam0`` every thread
+        runs at its solo speed regardless of ``beta``.
 
         Returns ``(rate, m, 1-m, 1 + beta·(1-m))`` per request — everything
-        the bisection loop needs that does not depend on ``lam``. The
-        arithmetic below reproduces :meth:`speed_at_latency` expression by
-        expression, so hoisting changes nothing bit-for-bit.
+        the root finders need that does not depend on ``lam``.
         """
         beta = self._cfg.unfairness
         return [
@@ -514,7 +502,7 @@ class BusModel:
 
         Each thread's actual rate is ``r / D(lam)`` with
         ``D = 1 + (m·unfair/lam0)·(lam - lam0)`` linear in ``lam`` (the
-        algebraic collapse of :meth:`speed_at_latency`'s expression), so
+        algebraic collapse of the speed formula in :meth:`_speed_params`), so
         the derivative is ``-r·D'/D²`` — one extra multiply per thread on
         top of the plain evaluation.
 
@@ -652,7 +640,7 @@ class BusModel:
         r, m, one_minus_m, unfair, gcoef = self._lane_arrays(requests)
 
         def speeds_at(lam: float) -> "np.ndarray":
-            # speed_at_latency, elementwise: lanes with m == 0 fall out
+            # The speed formula, elementwise: lanes with m == 0 fall out
             # exactly (denominator (1-0) + 0·x == 1.0 → s == 1.0), so no
             # branch is needed to match the scalar shortcut bitwise.
             lam_eff = lam0 + (lam - lam0) * unfair

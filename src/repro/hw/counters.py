@@ -5,8 +5,8 @@ counters; the paper's CPU manager reads them through Mikael Pettersson's
 ``perfctr`` Linux driver, which *virtualizes* counters per thread (a
 thread's counter only advances while that thread runs). This module is the
 simulated equivalent: the machine credits each running thread's counters
-during every settling interval, and readers (the :mod:`repro.hw.perfctr`
-driver facade, the CPU-manager runtime) take snapshots.
+during every settling interval, and readers (the CPU-manager runtime)
+take snapshots.
 
 Counters are monotone non-decreasing by construction; :class:`CounterBank`
 enforces this and raises :class:`repro.errors.CounterError` on misuse, which
@@ -115,23 +115,6 @@ class CounterBank:
         self._cycles[row] = 0.0
         self._work[row] = 0.0
         self._row[tid] = row
-
-    def known(self, tid: int) -> bool:
-        """Whether ``tid`` has been registered."""
-        return tid in self._row
-
-    def row_of(self, tid: int) -> int:
-        """The array row backing ``tid`` (for batched credit/read paths).
-
-        Raises
-        ------
-        CounterError
-            If ``tid`` is unknown.
-        """
-        try:
-            return self._row[tid]
-        except KeyError:
-            raise CounterError(f"row of unknown thread {tid}") from None
 
     def rows_of(self, tids: list[int]) -> np.ndarray:
         """Array rows for several threads, in input order."""

@@ -389,7 +389,6 @@ class Machine:
         # number of intervening timer events — the settle-loop fast path.
         self._horizon_abs: float | None = None
         self._bus_utilisation = 0.0
-        self._bus_latency = config.bus.lam0_us
         # Settle-loop profiling counters (cheap ints, always maintained);
         # wall-clock phase timers activate only via enable_profiling().
         self._settle_calls = 0
@@ -666,12 +665,6 @@ class Machine:
         """Bus utilisation of the current configuration."""
         self._ensure_solution()
         return self._bus_utilisation
-
-    @property
-    def bus_latency_us(self) -> float:
-        """Per-transaction latency of the current configuration."""
-        self._ensure_solution()
-        return self._bus_latency
 
     @property
     def bus_total_txus(self) -> float:
@@ -966,7 +959,6 @@ class Machine:
         self._lanes = lanes
         self._lane_sig = sig
         self._bus_utilisation = solution.utilisation
-        self._bus_latency = solution.latency_us
         self._dirty = False
 
     def _ensure_solution_soa(self) -> None:
@@ -1082,7 +1074,6 @@ class Machine:
         self._lanes = []
         self._lane_sig = None
         self._bus_utilisation = solution.utilisation
-        self._bus_latency = solution.latency_us
         self._dirty = False
 
     def _bind_lane_handles(self, rows: np.ndarray) -> None:

@@ -14,7 +14,6 @@
 """
 
 from .accounting import AppResult, RunResult, collect_run_result
-from .gantt import GanttChart, render_gantt
 from .queueing import (
     DynamicStats,
     JobRecord,
@@ -48,8 +47,6 @@ __all__ = [
     "summarize_improvements",
     "TimelineSampler",
     "TimelinePoint",
-    "GanttChart",
-    "render_gantt",
     "DynamicStats",
     "JobRecord",
     "QueueingSummary",

@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .streaming import StreamingSummary, _t_fallback, exact_quantile
+from .streaming import StreamingSummary, _t_critical, exact_quantile
 
 __all__ = [
     "JobRecord",
@@ -166,22 +166,6 @@ class DynamicStats:
     def n_completed(self) -> int:
         """Number of jobs that ran to completion."""
         return sum(1 for j in self.jobs if j.completion_us is not None)
-
-
-def _t_critical(df: int, confidence: float) -> float:
-    """Two-sided Student-t critical value (scipy when present).
-
-    The container bakes scipy in; without it the df-aware
-    :func:`repro.metrics.streaming._t_fallback` expansion takes over
-    (<1% of scipy for df >= 3 — the old normal-quantile fallback ignored
-    ``df`` entirely and was anti-conservative at small batch counts).
-    """
-    try:
-        from scipy import stats  # type: ignore
-
-        return float(stats.t.ppf(0.5 + confidence / 2.0, df))
-    except Exception:  # pragma: no cover - scipy is normally available
-        return _t_fallback(df, confidence)
 
 
 def batch_means_ci(

@@ -22,10 +22,8 @@ provides the constant-memory building blocks:
   ``OpenSystemDriver``; snapshots into a :class:`StreamingSummary` that
   `summarize_queueing` can consume when no job records were retained.
 
-Also home to the scipy-less Student-t critical value fallback
-(:func:`_t_fallback`), shared with ``repro.metrics.queueing``: a
-Cornish–Fisher expansion in ``1/df`` (exact closed forms at df ∈ {1, 2}),
-within 1% of scipy's ``t.ppf`` for df ≥ 3 at the usual confidences.
+Also home to the Student-t critical value (:func:`_t_critical`) that
+``repro.metrics.queueing`` shares.
 
 >>> sketch = P2Quantile(0.5)
 >>> for x in [5.0, 1.0, 3.0, 2.0, 4.0]:
@@ -57,48 +55,11 @@ REPORTED_QUANTILES: tuple[float, ...] = (0.5, 0.95, 0.99)
 P2_RANK_TOLERANCE = 0.1
 
 
-def _t_fallback(df: int, confidence: float) -> float:
-    """Two-sided Student-t critical value without scipy.
-
-    Exact for df 1 (Cauchy) and df 2 (closed form); for df >= 3 a
-    Cornish-Fisher expansion of the t quantile around the normal quantile
-    in powers of 1/df (Abramowitz & Stegun 26.7.5), accurate to <1% of
-    scipy's ``t.ppf`` at the confidences used here.
-    """
-    if df < 1:
-        raise ValueError(f"df must be >= 1, got {df}")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    p = 0.5 + confidence / 2.0
-    if df == 1:
-        return math.tan(math.pi * (p - 0.5))
-    if df == 2:
-        u = 2.0 * p - 1.0
-        return u * math.sqrt(2.0 / (4.0 * p * (1.0 - p)))
-    from statistics import NormalDist
-
-    z = NormalDist().inv_cdf(p)
-    z2 = z * z
-    g1 = (z2 + 1.0) * z / 4.0
-    g2 = ((5.0 * z2 + 16.0) * z2 + 3.0) * z / 96.0
-    g3 = (((3.0 * z2 + 19.0) * z2 + 17.0) * z2 - 15.0) * z / 384.0
-    g4 = (
-        ((((79.0 * z2 + 776.0) * z2 + 1482.0) * z2 - 1920.0) * z2 - 945.0)
-        * z
-        / 92160.0
-    )
-    d = float(df)
-    return z + g1 / d + g2 / d**2 + g3 / d**3 + g4 / d**4
-
-
 def _t_critical(df: int, confidence: float) -> float:
-    """Two-sided Student-t critical value; scipy when present."""
-    try:
-        from scipy import stats as _scipy_stats  # type: ignore[import-untyped]
+    """Two-sided Student-t critical value (scipy is a hard dependency)."""
+    from scipy import stats
 
-        return float(_scipy_stats.t.ppf(0.5 + confidence / 2.0, df))
-    except ImportError:
-        return _t_fallback(df, confidence)
+    return float(stats.t.ppf(0.5 + confidence / 2.0, df))
 
 
 def exact_quantile(sorted_values: list[float], q: float) -> float:

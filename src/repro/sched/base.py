@@ -156,7 +156,3 @@ class KernelScheduler(ABC):
     def idle_cpus(self) -> list[int]:
         """Ids of currently idle CPUs, ascending."""
         return [c.cpu_id for c in self.machine.cpus if c.idle]
-
-    def running_map(self) -> dict[int, int]:
-        """Mapping cpu_id → tid for busy CPUs."""
-        return {c.cpu_id: c.tid for c in self.machine.cpus if c.tid is not None}

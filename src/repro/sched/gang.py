@@ -51,12 +51,6 @@ class RoundRobinGangScheduler(KernelScheduler):
                 )
         self._quantum_boundary()
 
-    def _live_jobs(self) -> list[Job]:
-        machine = self.machine
-        return [
-            j for j in self._jobs if any(not machine.thread(t).finished for t in j.tids)
-        ]
-
     def _quantum_boundary(self) -> None:
         machine = self.machine
         if machine.all_finished():

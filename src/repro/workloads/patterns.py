@@ -403,11 +403,6 @@ class TracePattern(DemandPattern):
         weighted = sum(length * rate for length, rate in self.segments)
         return weighted / total
 
-    @property
-    def trace_work_us(self) -> float:
-        """Total work covered by the recorded trace."""
-        return sum(length for length, _ in self.segments)
-
 
 class _TraceProcess(BoundProcess):
     __slots__ = ("_pat", "_ends", "_rates", "_tail")

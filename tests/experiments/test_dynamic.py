@@ -2,14 +2,17 @@
 
 import pytest
 
-from repro.dynamic import TraceArrivals
-from repro.errors import ConfigError
+from repro.dynamic import DynamicWorkload, TraceArrivals, paper_mix
+from repro.errors import ConfigError, SimulationError
+from repro.experiments.base import SimulationSpec, run_simulation, run_simulation_with_handle
 from repro.experiments.dynamic import (
     DYNAMIC_POLICIES,
     format_dynamic,
     make_arrivals,
     run_dynamic_sweep,
 )
+from repro.units import seconds
+from repro.workloads.suites import PAPER_APPS
 
 SWEEP_KW = dict(rates_per_s=[3.0], n_jobs=6, replications=2, seed=7, work_scale=0.05)
 
@@ -82,6 +85,47 @@ class TestRunDeterminism:
         a = run_dynamic_sweep(**kw)
         b = run_dynamic_sweep(**{**kw, "seed": 8})
         assert a != b
+
+
+class TestTimeLimit:
+    """A dynamic run's safety limit counts from its schedule's span."""
+
+    LATE = TraceArrivals(times_us=(0.0, seconds(3700)))
+
+    def test_schedule_longer_than_an_hour_completes(self):
+        # 100k jobs at 0.5/s arrive over ~55 h; any fixed limit cuts some
+        # schedule short. This one has a job arriving after an hour.
+        rows = run_dynamic_sweep(
+            policies=["latest_quantum"], arrivals=self.LATE, n_jobs=2,
+            replications=1, seed=7, work_scale=0.01,
+        )
+        assert rows[0].summaries[0].n_completed == 2
+
+    def test_span_is_last_arrival_plus_standalone_work(self):
+        workload = DynamicWorkload(
+            arrivals=self.LATE, mix=paper_mix(["CG"], work_scale=0.01), n_jobs=2
+        )
+        _, handle = run_simulation_with_handle(
+            SimulationSpec(targets=[], dynamic=workload, seed=7)
+        )
+        cg = PAPER_APPS["CG"].scaled(0.01)
+        want = seconds(3700) + 2 * cg.work_per_thread_us * cg.n_threads
+        assert handle.dynamic.schedule_span_us == pytest.approx(want)
+
+    def test_run_that_cannot_finish_still_aborts(self):
+        # The static target needs days of work; the limit is one second
+        # past the dynamic schedule, so the run must stop with an error.
+        endless = PAPER_APPS["CG"].scaled(1e5)
+        workload = DynamicWorkload(
+            arrivals=TraceArrivals(times_us=(0.0, 1000.0)),
+            mix=paper_mix(["CG"], work_scale=0.01),
+            n_jobs=2,
+        )
+        spec = SimulationSpec(
+            targets=[endless], dynamic=workload, seed=7, max_time_us=seconds(1)
+        )
+        with pytest.raises(SimulationError, match="max_time"):
+            run_simulation(spec)
 
 
 class TestArrivalFactory:

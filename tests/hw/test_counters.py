@@ -26,8 +26,8 @@ class TestRegistration:
             bank.register(1)
 
     def test_known(self, bank):
-        assert bank.known(1)
-        assert not bank.known(99)
+        assert 1 in bank.threads()
+        assert 99 not in bank.threads()
 
     def test_threads_sorted(self, bank):
         assert bank.threads() == [1, 2]

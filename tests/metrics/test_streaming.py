@@ -1,5 +1,5 @@
 """Streaming-accumulator tests: P² envelope, collapsing batch means,
-t-fallback accuracy, and streamed-vs-exact summary agreement."""
+and streamed-vs-exact summary agreement."""
 
 import math
 import random
@@ -20,36 +20,8 @@ from repro.metrics.streaming import (
     StreamingBatchMeans,
     StreamingQueueingStats,
     Welford,
-    _t_fallback,
     exact_quantile,
 )
-
-
-class TestTFallback:
-    def test_exact_at_df_1_and_2(self):
-        # Closed forms: Cauchy quantile at df=1, algebraic at df=2.
-        assert _t_fallback(1, 0.95) == pytest.approx(12.7062, rel=1e-4)
-        assert _t_fallback(2, 0.95) == pytest.approx(4.30265, rel=1e-4)
-
-    @pytest.mark.parametrize("df", [3, 5, 9])
-    @pytest.mark.parametrize("confidence", [0.90, 0.95, 0.99])
-    def test_within_one_percent_of_scipy(self, df, confidence):
-        scipy_stats = pytest.importorskip("scipy.stats")
-        exact = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, df))
-        approx = _t_fallback(df, confidence)
-        assert abs(approx - exact) / exact < 0.01
-
-    def test_respects_df(self):
-        # The old fallback returned the same constant for every df.
-        values = [_t_fallback(df, 0.95) for df in (3, 5, 9, 30)]
-        assert values == sorted(values, reverse=True)
-        assert values[0] > 3.0 > values[-1]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            _t_fallback(0, 0.95)
-        with pytest.raises(ValueError):
-            _t_fallback(5, 1.0)
 
 
 class TestExactQuantile:
