@@ -29,7 +29,11 @@ import argparse
 import dataclasses
 import json
 import sys
-import time
+
+try:
+    from ._timing import paired_ratios, timed
+except ImportError:  # run as a script
+    from _timing import paired_ratios, timed
 
 OVERHEAD_LIMIT_PCT = 2.0
 
@@ -73,32 +77,21 @@ def main(argv: list[str] | None = None) -> int:
             faults=faults,
         )
 
-    def sample(make_spec):
+    def sample(hardening):
         # Policy instances are stateful (per-app estimators), so every
         # run gets a freshly built spec — reusing one would leak state
         # between runs and break the bit-identity gates.
-        t0 = time.perf_counter()
-        for _ in range(args.inner):
-            result = run_simulation(make_spec())
-        return time.perf_counter() - t0, result
+        return timed(args.inner, lambda: run_simulation(spec(hardening=hardening)))
 
     # Warm both code paths (imports, caches) before any timing, then
-    # interleave the two legs in pairs: the per-pair ratio cancels slow
-    # drift on a shared box, and the median of ratios kills outliers.
+    # time interleaved pairs (hardened first in each pair).
     run_simulation(spec(hardening=True))
     run_simulation(spec(hardening=False))
-    hard_samples, bare_samples, ratios = [], [], []
-    hardened = bare = None
-    for _ in range(args.repeats):
-        hard_dt, hardened = sample(lambda: spec(hardening=True))
-        bare_dt, bare = sample(lambda: spec(hardening=False))
-        hard_samples.append(hard_dt)
-        bare_samples.append(bare_dt)
-        ratios.append(hard_dt / bare_dt)
-    hard_best = min(hard_samples)
-    bare_best = min(bare_samples)
-    ratios.sort()
-    median_ratio = ratios[len(ratios) // 2]
+    timing = paired_ratios(args.repeats, lambda: sample(True), lambda: sample(False))
+    hardened, bare = timing.a_result, timing.b_result
+    hard_best = min(timing.a_samples)
+    bare_best = min(timing.b_samples)
+    ratios = timing.ratios
     # Leg 3: a disabled plan must arm nothing (no timing leg needed —
     # identity is the gate; one run suffices).
     disabled = run_simulation(spec(faults=FaultPlan()))
@@ -108,7 +101,7 @@ def main(argv: list[str] | None = None) -> int:
         dataclasses.replace(spec(faults=REFERENCE_PLAN), audit=True)
     )
 
-    overhead_pct = 100.0 * (median_ratio - 1.0)
+    overhead_pct = 100.0 * (timing.median_ratio - 1.0)
 
     report = {
         "scale": args.scale,

@@ -23,19 +23,18 @@ so these variants all run bisection.
 The **vectorized** section scales the fig2 workload up to a large SMP
 (default: 256 CPUs, 128 target app instances of Barnes/SP/CG/Raytrace
 plus 128 microbenchmark background apps under the Quanta Window policy)
-and times incremental selection on the SoA machine path against the PR 5
-state of the art, full re-rank selection on the scalar lane loops. Both
+and times the SoA machine path against the scalar lane loops. Both
 solve the bus with the batched Newton finder the lane count selects. The
 machine picks its hot path by CPU count, so the script forces the scalar
 loops for the reference side. The two runs must produce *bit-identical*
 ``RunResult``s — the speedup is pure evaluation-order-preserving
 batching — and the report carries the hot-path counters
-(``batched_lanes``, ``dirty_mask_hits``, the fraction of per-job
-estimates actually re-scored) that prove where the time went. One more
-run of the same workload with bisection forced at every lane count gives
-the Newton gates: ``newton_within_tolerance`` (every turnaround within
-solver tolerance of bisection) and ``newton_step_reduction_pct`` (the
-cut in root-finder throughput evaluations).
+(``batched_lanes``, ``dirty_mask_hits``) that show where the time went.
+One more run of the same workload with bisection forced at every lane
+count gives the Newton gates: ``newton_within_tolerance`` (every
+turnaround within solver tolerance of bisection) and
+``newton_step_reduction_pct`` (the cut in root-finder throughput
+evaluations).
 
 The **entry_build** section micro-benchmarks the ``_ensure_solution``
 entry build alone — every lane dirtied, solve memoized away — and
@@ -72,6 +71,11 @@ from typing import Iterator
 
 from repro.config import BusConfig, MachineConfig
 from repro.parallel import cgroup_cpu_quota, fork_available, resolve_jobs, usable_cpus
+
+try:
+    from ._timing import best_of
+except ImportError:  # run as a script
+    from _timing import best_of
 
 #: Application subset for the scaled-up vectorized gate: two
 #: bandwidth-hungry codes (SP, CG), one cache-friendly (Barnes) and one
@@ -165,8 +169,8 @@ def _run(set_name: str, machine: MachineConfig, jobs: int, scale: float,
     return results, stats
 
 
-def _scaled_spec(incremental: bool, n_cpus: int, inst: int,
-                 scale: float, seed: int, profile: bool = False):
+def _scaled_spec(n_cpus: int, inst: int, scale: float, seed: int,
+                 profile: bool = False):
     """One scaled-up fig2 workload under Quanta Window.
 
     ``inst`` instances of each app in :data:`SCALED_APPS` (two threads
@@ -185,7 +189,6 @@ def _scaled_spec(incremental: bool, n_cpus: int, inst: int,
     )
     manager = ManagerConfig()
     policy = default_policies(manager)[1]  # Quanta Window
-    policy.incremental = incremental
     targets = []
     for name in SCALED_APPS:
         app = PAPER_APPS[name].scaled(scale)
@@ -204,48 +207,31 @@ def _scaled_spec(incremental: bool, n_cpus: int, inst: int,
     )
 
 
-def _best_of(reps: int, make_spec, run):
-    """Best wall-clock over ``reps`` runs of freshly-built specs."""
-    best = float("inf")
-    result = None
-    for _ in range(reps):
-        spec = make_spec()
-        start = time.perf_counter()
-        result = run(spec)
-        best = min(best, time.perf_counter() - start)
-    return best, result
-
-
 def _vector_benchmark(n_cpus: int, inst: int, scale: float, seed: int,
                       reps: int) -> dict:
-    """Time incremental+SoA against full-rerank+scalar; gate Newton on bisection."""
+    """Time the SoA path against the scalar lane loops; gate Newton on bisection."""
     from repro.experiments.base import run_simulation
 
-    def reference_spec():
-        return _scaled_spec(False, n_cpus, inst, scale, seed)
-
-    def vector_spec():
-        return _scaled_spec(True, n_cpus, inst, scale, seed)
+    def spec():
+        return _scaled_spec(n_cpus, inst, scale, seed)
 
     with _scalar_machine_path():
-        t_reference, r_reference = _best_of(reps, reference_spec, run_simulation)
-    t_vector, r_vector = _best_of(reps, vector_spec, run_simulation)
+        t_reference, r_reference = best_of(reps, spec, run_simulation)
+    t_vector, r_vector = best_of(reps, spec, run_simulation)
     identical = r_reference == r_vector
     assert identical, "vectorized hot path diverged from the scalar reference"
 
     # The same workload with every solve bisected: the batched Newton
     # finder must land within solver tolerance of it, in fewer steps.
     with _bisect_only():
-        r_bisect = run_simulation(vector_spec())
+        r_bisect = run_simulation(spec())
     _assert_within_tolerance([r_bisect], [r_vector], "newton solver")
     assert r_vector.bus_bisection_steps > 0, "no saturated solve took the Newton finder"
 
     # One extra profiled run for the hot-path counters (never timed: the
     # per-phase timers themselves cost wall clock).
-    profiled = run_simulation(_scaled_spec(True, n_cpus, inst, scale, seed, profile=True))
+    profiled = run_simulation(_scaled_spec(n_cpus, inst, scale, seed, profile=True))
     prof = profiled.profile or {}
-    rescored = prof.get("sel_est_rescored", 0)
-    reused = prof.get("sel_est_reused", 0)
     section = {
         "workload": {
             "n_cpus": n_cpus,
@@ -261,31 +247,21 @@ def _vector_benchmark(n_cpus: int, inst: int, scale: float, seed: int,
         "serial_newton_warm": {
             "wall_clock_s": round(t_reference, 4),
             "machine_path": "scalar",
-            "incremental_selection": False,
             "solve_calls": r_reference.bus_solve_calls,
             "solver_steps": r_reference.bus_bisection_steps,
         },
         "bisect_reference": {
             "machine_path": "soa",
-            "incremental_selection": True,
             "solve_calls": r_bisect.bus_solve_calls,
             "solver_steps": r_bisect.bus_bisection_steps,
         },
         "vectorized": {
             "wall_clock_s": round(t_vector, 4),
             "machine_path": "soa",
-            "incremental_selection": True,
             "solve_calls": r_vector.bus_solve_calls,
             "solver_steps": r_vector.bus_bisection_steps,
             "batched_lanes": prof.get("batched_lanes", 0),
             "dirty_mask_hits": prof.get("dirty_mask_hits", 0),
-            "sel_est_rescored": rescored,
-            "sel_est_reused": reused,
-            "sel_rerank_fraction": (
-                round(rescored / (rescored + reused), 4)
-                if (rescored + reused)
-                else None
-            ),
         },
         "speedup_vs_newton": round(t_reference / t_vector, 2),
         "prior_walls": dict(PRIOR_WALLS),
@@ -404,12 +380,12 @@ def _multicore_benchmark(n_cpus: int, inst: int, scale: float, seed: int,
 
     def grid():
         return [
-            _scaled_spec(True, n_cpus, inst, scale, seed + i)
+            _scaled_spec(n_cpus, inst, scale, seed + i)
             for i in range(jobs)
         ]
 
-    t_serial, r_serial = _best_of(1, grid, lambda s: run_many(s, jobs=1))
-    t_par, r_par = _best_of(1, grid, lambda s: run_many(s, jobs=jobs))
+    t_serial, r_serial = best_of(1, grid, lambda s: run_many(s, jobs=1))
+    t_par, r_par = best_of(1, grid, lambda s: run_many(s, jobs=jobs))
     assert r_par == r_serial, "run_many diverged from serial on scaled grid"
     section.update(
         {

@@ -31,9 +31,13 @@ import json
 import os
 import sys
 import tempfile
-import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+
+try:
+    from ._timing import paired_ratios, timed
+except ImportError:  # run as a script
+    from _timing import paired_ratios, timed
 
 OVERHEAD_LIMIT_PCT = 2.0
 
@@ -82,27 +86,16 @@ def main(argv: list[str] | None = None) -> int:
     sup = SupervisionConfig()
 
     def sample(supervise):
-        t0 = time.perf_counter()
-        for _ in range(args.inner):
-            results = run_many(specs, jobs=1, supervise=supervise)
-        return time.perf_counter() - t0, results
+        return timed(args.inner, lambda: run_many(specs, jobs=1, supervise=supervise))
 
-    # Warm both paths (imports, caches), then interleave the legs in
-    # pairs: the per-pair ratio cancels slow drift on a shared box, and
-    # the median of ratios kills outliers.
+    # Warm both paths (imports, caches), then time interleaved pairs
+    # (supervised first in each pair).
     sample(None)
     sample(sup)
-    plain_samples, sup_samples, ratios = [], [], []
-    plain = supervised = None
-    for _ in range(args.repeats):
-        sup_dt, supervised = sample(sup)
-        plain_dt, plain = sample(None)
-        sup_samples.append(sup_dt)
-        plain_samples.append(plain_dt)
-        ratios.append(sup_dt / plain_dt)
-    ratios.sort()
-    median_ratio = ratios[len(ratios) // 2]
-    overhead_pct = 100.0 * (median_ratio - 1.0)
+    timing = paired_ratios(args.repeats, lambda: sample(sup), lambda: sample(None))
+    supervised, plain = timing.a_result, timing.b_result
+    sup_samples, plain_samples, ratios = timing.a_samples, timing.b_samples, timing.ratios
+    overhead_pct = 100.0 * (timing.median_ratio - 1.0)
 
     report = {
         "scale": args.scale,
@@ -120,12 +113,10 @@ def main(argv: list[str] | None = None) -> int:
     }
 
     if fork_available():
-        t0 = time.perf_counter()
-        par_plain = run_many(specs, jobs=2, chunk_size=1)
-        plain_par_dt = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        par_sup = run_many(specs, jobs=2, chunk_size=1, supervise=sup)
-        sup_par_dt = time.perf_counter() - t0
+        plain_par_dt, par_plain = timed(1, lambda: run_many(specs, jobs=2, chunk_size=1))
+        sup_par_dt, par_sup = timed(
+            1, lambda: run_many(specs, jobs=2, chunk_size=1, supervise=sup)
+        )
         report["bit_identical_parallel"] = par_sup == plain and par_plain == plain
         report["parallel_supervised_over_plain_ratio"] = round(
             sup_par_dt / plain_par_dt, 4

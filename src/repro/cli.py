@@ -252,11 +252,6 @@ def _print_profile() -> None:
         print(f"  {key:<22} {text}", file=sys.stderr)
     print(f"  {'cache_hit_rate':<22} {hit_rate:.3f}", file=sys.stderr)
     print(f"  {'solve_skip_rate':<22} {skip_rate:.3f}", file=sys.stderr)
-    rescored = agg.get("sel_est_rescored", 0.0)
-    reused = agg.get("sel_est_reused", 0.0)
-    if rescored + reused > 0.0:
-        rerank = rescored / (rescored + reused)
-        print(f"  {'sel_rerank_fraction':<22} {rerank:.3f}", file=sys.stderr)
 
 
 def _apps_arg(args: argparse.Namespace) -> list[str] | None:

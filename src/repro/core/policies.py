@@ -42,12 +42,14 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ..errors import SchedulingError
 from .fitness import FitnessFn, paper_fitness
 from .window import EwmaEstimator, MovingWindow
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 __all__ = [
     "JobView",
@@ -139,21 +141,9 @@ class BandwidthPolicy(ABC):
     fitness_scale:
         Numerator of Equation 1.
     incremental:
-        Use the incremental selection pass (default): per-application
-        estimates are computed once per quantum and cached until the
-        estimator absorbs new data (``on_sample``/``on_quantum``/
-        ``forget`` invalidate), the allocated-BBW sum is maintained as a
-        running accumulator, and — for the stock Equation 1 fitness —
-        each traversal scores all candidates in one numpy pass.
-        Selections are *identical* to the reference full-re-rank loop
-        (``incremental=False``): cached estimates equal fresh ones by the
-        invalidation contract, the running sum reproduces the reference's
-        left-to-right partial sums bitwise, and ``np.argmax`` implements
-        the same first-strict-maximum tie-break as the reference scan
-        (the audit differential oracle and
-        ``tests/core/test_policies_incremental.py`` both pin this down).
-        Subclasses that mutate estimator state outside the three hooks
-        must call :meth:`_invalidate_estimate` themselves.
+        Inert. Accepted, stored, encoded and hashed so that stored specs
+        and their cache keys stay valid, but it selects nothing: there is
+        one selection pass (:meth:`select`).
     """
 
     #: Short name used in reports.
@@ -178,11 +168,7 @@ class BandwidthPolicy(ABC):
         self._fitness_scale = fitness_scale
         self._rng: np.random.Generator | None = None
         self.incremental = incremental
-        # app_id -> cached effective_estimate(), dropped on invalidation.
-        self._est_cache: dict[int, float] = {}
         self._selection_calls = 0
-        self._est_rescored = 0
-        self._est_reused = 0
 
     def bind_rng(self, rng: np.random.Generator) -> None:
         """Provide the policy's random stream (used by randomized variants)."""
@@ -247,39 +233,18 @@ class BandwidthPolicy(ABC):
         est = self.estimate(app_id)
         return 0.0 if est is None else est
 
-    def _invalidate_estimate(self, app_id: int) -> None:
-        """Drop the cached effective estimate (estimator state changed)."""
-        self._est_cache.pop(app_id, None)
-
-    def _cached_estimate(self, app_id: int) -> float:
-        """``effective_estimate`` through the invalidation-tracked cache."""
-        cached = self._est_cache.get(app_id)
-        if cached is None:
-            cached = self.effective_estimate(app_id)
-            self._est_cache[app_id] = cached
-            self._est_rescored += 1
-        else:
-            self._est_reused += 1
-        return cached
-
     def selection_profile(self) -> dict[str, float]:
-        """Selection-pass counters (merged into ``RunResult.profile``).
-
-        ``sel_est_rescored`` counts estimator evaluations the cache could
-        not serve; ``sel_est_reused`` counts cache hits — their ratio is
-        the re-rank fraction the CLI's ``--profile`` report derives.
-        """
-        return {
-            "selection_calls": float(self._selection_calls),
-            "sel_est_rescored": float(self._est_rescored),
-            "sel_est_reused": float(self._est_reused),
-        }
+        """Selection-pass counters (merged into ``RunResult.profile``)."""
+        return {"selection_calls": float(self._selection_calls)}
 
     def select(self, jobs: list[JobView], n_cpus: int) -> Selection:
         """Run the paper's selection algorithm over ``jobs`` in list order.
 
         ``jobs`` must be in circular-list order (head first). Returns the
-        selected applications; the caller turns this into signals.
+        selected applications; the caller turns this into signals. Each
+        estimate is read once per call, ``allocated_bbw`` is a running
+        sum, and each traversal keeps the first strict maximum of
+        :meth:`fitness` in list order.
         """
         if n_cpus < 1:
             raise SchedulingError("need at least one CPU")
@@ -290,130 +255,40 @@ class BandwidthPolicy(ABC):
                     f"{n_cpus}-CPU machine; gang policies cannot ever run it"
                 )
         self._selection_calls += 1
-        if self.incremental:
-            return self._select_incremental(jobs, n_cpus)
-        chosen: list[JobView] = []
-        chosen_ids: set[int] = set()
-        abbw_trace: list[float] = []
-        free = n_cpus
-        # Step 1: head of the list runs by default (no starvation).
-        for job in jobs:
-            if job.width <= free:
-                chosen.append(job)
-                chosen_ids.add(job.app_id)
-                free -= job.width
-                break
-        # Step 2: fitness-driven traversals.
-        while free > 0:
-            allocated_bbw = sum(
-                self.effective_estimate(j.app_id) * j.width for j in chosen
-            )
-            abbw_per_proc = (self.bus_capacity_txus - allocated_bbw) / free
-            best: JobView | None = None
-            best_score = -float("inf")
-            for job in jobs:
-                if job.app_id in chosen_ids or job.width > free:
-                    continue
-                score = self._candidate_score(job, abbw_per_proc)
-                if score > best_score:
-                    best_score = score
-                    best = job
-            if best is None:
-                break
-            abbw_trace.append(abbw_per_proc)
-            chosen.append(best)
-            chosen_ids.add(best.app_id)
-            free -= best.width
-        return Selection(
-            app_ids=tuple(j.app_id for j in chosen), abbw_trace=tuple(abbw_trace)
-        )
-
-    def _candidate_score(self, job: JobView, abbw_per_proc: float) -> float:
-        return self.fitness(abbw_per_proc, self.effective_estimate(job.app_id))
-
-    def _select_incremental(self, jobs: list[JobView], n_cpus: int) -> Selection:
-        """Incremental/vectorized selection — same result as the reference.
-
-        Three changes, each selection-identical (see class docstring):
-        estimates come from the invalidation-tracked cache and are looked
-        up once per job per quantum, ``allocated_bbw`` is a running sum
-        (the reference's per-round recomputation yields the same
-        left-to-right partial sums), and with the stock Equation 1 the
-        per-round candidate scan is one elementwise numpy pass whose
-        ``argmax`` matches the reference's first-strict-maximum scan.
-        """
+        ests = [self.effective_estimate(job.app_id) for job in jobs]
         chosen_ids: list[int] = []
+        taken: set[int] = set()
         abbw_trace: list[float] = []
         free = n_cpus
-        ests = [self._cached_estimate(job.app_id) for job in jobs]
         allocated_bbw = 0.0
         # Step 1: head of the list runs by default (no starvation).
-        head_idx: int | None = None
         for i, job in enumerate(jobs):
             if job.width <= free:
-                head_idx = i
                 chosen_ids.append(job.app_id)
+                taken.add(job.app_id)
                 free -= job.width
                 allocated_bbw += ests[i] * job.width
                 break
-        # The numpy scan implements Equation 1 only; a custom fitness_fn
-        # or an overridden _candidate_score (RandomGangPolicy consumes the
-        # rng stream per candidate) falls back to the scalar scan.
-        vector_scan = (
-            self._fitness_fn is None
-            and type(self)._candidate_score is BandwidthPolicy._candidate_score
-        )
-        if vector_scan:
-            est_arr = np.array(ests)
-            width_arr = np.array([job.width for job in jobs])
-            id_arr = np.array([job.app_id for job in jobs])
-            avail = np.ones(len(jobs), dtype=bool)
-            if head_idx is not None:
-                # Mask by app_id, like the reference's chosen-id set (a
-                # duplicated id excludes every entry carrying it).
-                avail[id_arr == jobs[head_idx].app_id] = False
-            scale = self._fitness_scale
-            # Scratch reused across traversal rounds: the Equation-1 score
-            # is computed in place (same elementwise expressions, same
-            # bits) instead of allocating four temporaries per round.
-            scores = np.empty(len(jobs))
-            tmp = np.empty(len(jobs))
-        else:
-            taken = set(chosen_ids)
         # Step 2: fitness-driven traversals.
         while free > 0:
             abbw_per_proc = (self.bus_capacity_txus - allocated_bbw) / free
             best_idx: int | None = None
-            if vector_scan:
-                mask = avail & (width_arr <= free)
-                if mask.any():
-                    np.subtract(abbw_per_proc, est_arr, out=tmp)
-                    np.abs(tmp, out=tmp)
-                    tmp += 1.0
-                    np.divide(scale, tmp, out=tmp)
-                    scores.fill(-np.inf)
-                    np.copyto(scores, tmp, where=mask)
-                    best_idx = int(np.argmax(scores))
-            else:
-                best_score = -float("inf")
-                for i, job in enumerate(jobs):
-                    if job.app_id in taken or job.width > free:
-                        continue
-                    score = self._candidate_score(job, abbw_per_proc)
-                    if score > best_score:
-                        best_score = score
-                        best_idx = i
+            best_score = -float("inf")
+            for i, job in enumerate(jobs):
+                if job.app_id in taken or job.width > free:
+                    continue
+                score = self.fitness(abbw_per_proc, ests[i])
+                if score > best_score:
+                    best_score = score
+                    best_idx = i
             if best_idx is None:
                 break
             best = jobs[best_idx]
             abbw_trace.append(abbw_per_proc)
             chosen_ids.append(best.app_id)
+            taken.add(best.app_id)
             free -= best.width
             allocated_bbw += ests[best_idx] * best.width
-            if vector_scan:
-                avail[id_arr == best.app_id] = False
-            else:
-                taken.add(best.app_id)
         return Selection(app_ids=tuple(chosen_ids), abbw_trace=tuple(abbw_trace))
 
 
@@ -440,7 +315,6 @@ class LatestQuantumPolicy(BandwidthPolicy):
         if saturated and current is not None and rate_per_thread < current:
             return  # lower bound only: keep the higher previous estimate
         self._last[app_id] = rate_per_thread
-        self._invalidate_estimate(app_id)
 
     def estimate(self, app_id: int) -> float | None:
         return self._last.get(app_id)
@@ -451,7 +325,6 @@ class LatestQuantumPolicy(BandwidthPolicy):
     def forget(self, app_id: int) -> None:
         self._last.pop(app_id, None)
         self._updated.pop(app_id, None)
-        self._invalidate_estimate(app_id)
 
 
 class QuantaWindowPolicy(BandwidthPolicy):
@@ -480,7 +353,6 @@ class QuantaWindowPolicy(BandwidthPolicy):
         time_us: float | None = None,
     ) -> None:
         window = self._windows.setdefault(app_id, MovingWindow(self.window_length))
-        self._invalidate_estimate(app_id)
         current = window.average()
         if saturated and current is not None and rate_per_thread < current:
             # Lower bound only: re-push the current average so the window
@@ -504,7 +376,6 @@ class QuantaWindowPolicy(BandwidthPolicy):
 
     def forget(self, app_id: int) -> None:
         self._windows.pop(app_id, None)
-        self._invalidate_estimate(app_id)
 
 
 class EwmaPolicy(BandwidthPolicy):
@@ -532,7 +403,6 @@ class EwmaPolicy(BandwidthPolicy):
         time_us: float | None = None,
     ) -> None:
         est = self._estimates.setdefault(app_id, EwmaEstimator(self.alpha))
-        self._invalidate_estimate(app_id)
         current = est.average()
         if saturated and current is not None and rate_per_thread < current:
             if time_us is not None and current is not None:
@@ -550,7 +420,6 @@ class EwmaPolicy(BandwidthPolicy):
 
     def forget(self, app_id: int) -> None:
         self._estimates.pop(app_id, None)
-        self._invalidate_estimate(app_id)
 
 
 class OraclePolicy(BandwidthPolicy):
@@ -575,10 +444,12 @@ class OraclePolicy(BandwidthPolicy):
 
     def select(self, jobs, n_cpus):
         for job in jobs:
-            if self._names.get(job.app_id) != job.name:
-                self._names[job.app_id] = job.name
-                self._invalidate_estimate(job.app_id)
+            self._names[job.app_id] = job.name
         return super().select(jobs, n_cpus)
+
+    def forget(self, app_id: int) -> None:
+        self._names.pop(app_id, None)
+        super().forget(app_id)
 
 
 class RandomGangPolicy(BandwidthPolicy):
@@ -592,7 +463,8 @@ class RandomGangPolicy(BandwidthPolicy):
     def estimate(self, app_id: int) -> float | None:
         return None
 
-    def _candidate_score(self, job: JobView, abbw_per_proc: float) -> float:
+    def fitness(self, abbw_per_proc: float, bbw_per_thread: float) -> float:
+        """One uniform draw per eligible candidate; ignores both arguments."""
         if self._rng is None:
             raise SchedulingError("RandomGangPolicy needs bind_rng() before selection")
         return float(self._rng.random())

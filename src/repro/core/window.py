@@ -55,18 +55,7 @@ class MovingWindow:
         if length < 1:
             raise ValueError(f"window length must be >= 1, got {length}")
         self._buf: deque[float] = deque(maxlen=length)
-        self._length = length
         self._last_update_time: float | None = None
-
-    @property
-    def length(self) -> int:
-        """Configured window length."""
-        return self._length
-
-    @property
-    def count(self) -> int:
-        """Samples currently held (≤ length)."""
-        return len(self._buf)
 
     @property
     def last_update_time(self) -> float | None:
@@ -100,10 +89,6 @@ class MovingWindow:
             return None
         return sum(self._buf) / len(self._buf)
 
-    def last(self) -> float | None:
-        """Most recent sample, or ``None`` before the first push."""
-        return self._buf[-1] if self._buf else None
-
     def maximum(self) -> float | None:
         """Largest held sample, or ``None`` before the first push.
 
@@ -112,11 +97,6 @@ class MovingWindow:
         conservative for bursty jobs.
         """
         return max(self._buf) if self._buf else None
-
-    def clear(self) -> None:
-        """Drop all samples (and the last-update timestamp)."""
-        self._buf.clear()
-        self._last_update_time = None
 
 
 class EwmaEstimator:
@@ -148,11 +128,6 @@ class EwmaEstimator:
         self._last_update_time: float | None = None
 
     @property
-    def alpha(self) -> float:
-        """Newest-sample weight."""
-        return self._alpha
-
-    @property
     def last_update_time(self) -> float | None:
         """Timestamp of the last timestamped push, or ``None``.
 
@@ -182,12 +157,3 @@ class EwmaEstimator:
     def average(self) -> float | None:
         """Current estimate, or ``None`` before the first push."""
         return self._value
-
-    def last(self) -> float | None:
-        """Alias of :meth:`average` (the EWMA *is* the state)."""
-        return self._value
-
-    def clear(self) -> None:
-        """Reset to the no-samples state."""
-        self._value = None
-        self._last_update_time = None

@@ -12,7 +12,7 @@ import pytest
 
 from repro.config import LinuxSchedConfig, MachineConfig, ManagerConfig
 from repro.core.manager import CpuManager
-from repro.core.policies import LatestQuantumPolicy
+from repro.core.policies import LatestQuantumPolicy, OraclePolicy
 from repro.hw.machine import Machine
 from repro.sched.linux import LinuxScheduler
 from repro.sim.engine import Engine
@@ -31,7 +31,7 @@ def _spec(i, width=2, rate=5.0, work=500_000.0):
     )
 
 
-def _setup(n_apps=3, quantum=20_000.0, work=500_000.0):
+def _setup(n_apps=3, quantum=20_000.0, work=500_000.0, policy=None):
     engine = Engine()
     machine = Machine(MachineConfig(n_cpus=4), engine, TraceRecorder())
     apps = [
@@ -40,7 +40,8 @@ def _setup(n_apps=3, quantum=20_000.0, work=500_000.0):
     ]
     kernel = LinuxScheduler(LinuxSchedConfig(rebalance_prob=0.0))
     kernel.attach(machine, engine, np.random.default_rng(50))
-    manager = CpuManager(ManagerConfig(quantum_us=quantum), LatestQuantumPolicy(), kernel)
+    policy = LatestQuantumPolicy() if policy is None else policy
+    manager = CpuManager(ManagerConfig(quantum_us=quantum), policy, kernel)
     manager.attach(machine, engine, np.random.default_rng(51))
     manager.register_apps(apps)
     return engine, machine, apps, kernel, manager
@@ -106,6 +107,17 @@ class TestDisconnectBlockedApp:
         assert manager._boundary_samples == {}
         assert manager._last_sample_seen == {}
         assert manager._selected == set()
+
+    def test_boundary_reap_releases_oracle_names(self):
+        """The oracle policy's name map must not keep departed apps."""
+        policy = OraclePolicy({"app0": 5.0, "app1": 5.0})
+        engine, machine, apps, kernel, manager = _setup(n_apps=2, work=30_000.0, policy=policy)
+        kernel.start()
+        manager.start()
+        engine.run(advancer=machine, stop=machine.all_finished, max_time=1e10)
+        engine.run_until(engine.now + 2 * manager.config.quantum_us, advancer=machine)
+        assert manager.arena.connected() == []
+        assert policy._names == {}
 
 
 class TestRateHygiene:

@@ -16,21 +16,18 @@ _samples = st.lists(
 class TestMovingWindow:
     def test_empty_average_none(self):
         assert MovingWindow(3).average() is None
-        assert MovingWindow(3).last() is None
 
     def test_partial_fill(self):
         w = MovingWindow(5)
         w.push(2.0)
         w.push(4.0)
         assert w.average() == 3.0
-        assert w.count == 2
 
     def test_eviction(self):
         w = MovingWindow(3)
         for x in (1.0, 2.0, 3.0, 4.0):
             w.push(x)
         assert w.average() == 3.0
-        assert w.last() == 4.0
 
     def test_length_one_is_latest(self):
         w = MovingWindow(1)
@@ -42,12 +39,6 @@ class TestMovingWindow:
         with pytest.raises(ValueError):
             MovingWindow(0)
 
-    def test_clear(self):
-        w = MovingWindow(3)
-        w.push(1.0)
-        w.clear()
-        assert w.average() is None
-
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_sample_rejected(self, bad):
         # A NaN pushed into the window would poison every average it
@@ -57,7 +48,6 @@ class TestMovingWindow:
         with pytest.raises(ValueError):
             w.push(bad)
         assert w.average() == 2.0  # the rejected sample left no trace
-        assert w.count == 1
 
     @given(_samples, st.integers(min_value=1, max_value=10))
     @settings(max_examples=200, deadline=None)
@@ -104,12 +94,6 @@ class TestEwma:
             EwmaEstimator(0.0)
         with pytest.raises(ValueError):
             EwmaEstimator(1.5)
-
-    def test_clear(self):
-        e = EwmaEstimator(0.5)
-        e.push(1.0)
-        e.clear()
-        assert e.average() is None
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_sample_rejected(self, bad):
@@ -159,10 +143,3 @@ class TestLastUpdateTime:
         # An untimed push in between does not rewind the timestamp.
         est.push(3.0)
         assert est.last_update_time == 35.5
-
-    @pytest.mark.parametrize("make", [lambda: MovingWindow(3), lambda: EwmaEstimator(0.5)])
-    def test_clear_resets_timestamp(self, make):
-        est = make()
-        est.push(1.0, time_us=10.0)
-        est.clear()
-        assert est.last_update_time is None

@@ -2,9 +2,8 @@
 
 The machine runs the struct-of-arrays (SoA) pipeline on large machines and
 the scalar lane loops on small ones; wide bus solves run guarded Newton
-as numpy kernels, and the SoA settle folds their lane arrays directly;
-the incremental selection pass replaces a full re-rank. All are
-evaluation-order-preserving optimizations: an entire simulation — every
+as numpy kernels, and the SoA settle folds their lane arrays directly.
+Both are evaluation-order-preserving optimizations: an entire simulation — every
 turnaround, every counter that carries physics — must be byte-equal
 whichever machine path runs, under either bus finder, with SMT, with the
 audit on, with faults injected, and through the chunked-parallel
@@ -92,13 +91,6 @@ class TestVectorRunIdentity:
             ref = _run_batched(_spec(policy_cls()), soa=False)
             vec = _run_batched(_spec(policy_cls()), soa=True)
             assert vec == ref
-
-    def test_incremental_selection_matches_full_rerank(self):
-        # Same machine and finder on both sides: this isolates the
-        # selection rewrite.
-        full = run_simulation(_spec(QuantaWindowPolicy(incremental=False)))
-        inc = run_simulation(_spec(QuantaWindowPolicy(incremental=True)))
-        assert inc == full
 
     def test_vector_identity_survives_audit(self):
         # The audit replays selections through the differential oracle;
