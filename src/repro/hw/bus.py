@@ -85,10 +85,11 @@ All rates are piecewise constant between machine reconfigurations, so one
 ``solve`` call per reconfiguration suffices; still, a long run reconfigures
 thousands of times and the same running-thread sets recur every scheduling
 cycle, so ``solve`` keeps an LRU memo cache keyed on the canonicalized
-(sorted) multiset of quantized ``(rate, mem_fraction)`` pairs. A hit skips
-the bisection entirely and returns the stored equilibrium with the grants
-matched back to the caller's request order (identical requests receive
-identical grants under both arbitration models, so the match is exact).
+(sorted) multiset of exact ``(rate, mem_fraction)`` pairs. A hit skips
+the root search entirely and returns the stored equilibrium; a hit in
+another request order permutes the stored speed and actual columns back
+to the caller's order (identical requests receive identical grants under
+both arbitration models, so the match is exact).
 Hit/miss accounting is surfaced via :attr:`BusModel.solve_calls`,
 :attr:`BusModel.cache_hits` and :attr:`BusModel.bisection_steps` (which
 counts throughput evaluations of *both* root finders) for the performance
@@ -101,7 +102,8 @@ from __future__ import annotations
 import math
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -117,11 +119,8 @@ __all__ = [
     "derive_mem_fraction",
 ]
 
-#: Decimal places of the solve-cache key quantization. Exact matching on
-#: floats rounded this finely is an identity for the rates the simulator
-#: produces (they differ by far more than 1e-12 unless truly equal), while
-#: still collapsing bit-level noise from request-order permutations.
-_CACHE_DECIMALS = 12
+#: One request's memo key: its exact ``(rate_txus, mem_fraction)`` pair.
+_REQUEST_KEY = attrgetter("rate_txus", "mem_fraction")
 
 #: Lane count at which the saturation search switches from bisection to
 #: batched guarded Newton. Below it, building the lane arrays costs more
@@ -202,14 +201,28 @@ class ThreadGrant:
     actual_txus: float
 
 
-@dataclass(frozen=True)
+def _column(values) -> np.ndarray:
+    """``values`` as a read-only float64 column, without copying an array.
+
+    Memoized solutions hand the same columns to every hit, so no caller
+    may write to them.
+    """
+    col = np.asarray(values, dtype=np.float64)
+    col.flags.writeable = False
+    return col
+
+
+@dataclass(frozen=True, eq=False)
 class BusSolution:
     """Outcome of one contention solve.
 
     Attributes
     ----------
-    grants:
-        One :class:`ThreadGrant` per request, in request order.
+    speeds:
+        Per-request execution speed, a read-only float64 column in
+        request order.
+    actuals:
+        Per-request actual transaction rate, same order.
     utilisation:
         Bus utilisation ``Σ actual / capacity`` in ``[0, 1]`` (equals 1.0
         exactly when saturated).
@@ -220,20 +233,39 @@ class BusSolution:
         Aggregate actual transaction rate, ``Σ actual``.
     saturated:
         Whether the saturation regime was in effect.
+
+    Two solutions are equal when every field is, columns elementwise.
     """
 
-    grants: tuple[ThreadGrant, ...]
+    speeds: np.ndarray
+    actuals: np.ndarray
     utilisation: float
     latency_us: float
     total_txus: float
     saturated: bool = False
-    #: Batched solves only: the grants' speed / actual columns as float64
-    #: arrays (same bit patterns as the ``grants`` fields, request order).
-    #: ``None`` whenever the order guarantee cannot hold (bisection
-    #: solves, reordered memo hits). Observability of the batched kernel,
-    #: excluded from equality like the counters on ``RunResult``.
-    speeds_arr: "np.ndarray | None" = field(default=None, compare=False, repr=False)
-    actuals_arr: "np.ndarray | None" = field(default=None, compare=False, repr=False)
+
+    @property
+    def grants(self) -> tuple[ThreadGrant, ...]:
+        """One :class:`ThreadGrant` per request, in request order.
+
+        Built on access from the columns; no solve builds them.
+        """
+        return tuple(
+            ThreadGrant(speed=s, actual_txus=a)
+            for s, a in zip(self.speeds.tolist(), self.actuals.tolist())
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BusSolution):
+            return NotImplemented
+        return (
+            self.utilisation == other.utilisation
+            and self.latency_us == other.latency_us
+            and self.total_txus == other.total_txus
+            and self.saturated == other.saturated
+            and np.array_equal(self.speeds, other.speeds)
+            and np.array_equal(self.actuals, other.actuals)
+        )
 
 
 class BusModel:
@@ -284,11 +316,10 @@ class BusModel:
         self._batched_lanes = 0
         self._solve_time_s = 0.0
         self._profiling = False
-        # solve() memo: canonical multiset key -> (key sequence in the
-        # miss's request order, solution, quantized request -> grant).
-        self._cache: OrderedDict[
-            tuple, tuple[tuple, BusSolution, dict[tuple[float, float], ThreadGrant]]
-        ] = OrderedDict()
+        # solve() memo: canonical multiset key -> [key sequence in the
+        # miss's request order, solution, request key -> column index].
+        # The index map is built on the entry's first reordered hit.
+        self._cache: OrderedDict[tuple, list] = OrderedDict()
         self._cache_size = config.solve_cache_size
         # request_for_rate memo: the same handful of demand rates recur on
         # every reconfiguration; m = (r·lam0)^alpha is the pow() hot spot.
@@ -398,10 +429,10 @@ class BusModel:
     def solve(self, requests: Sequence[BusRequest]) -> BusSolution:
         """Compute the contention equilibrium for the running thread set.
 
-        Results are memoized on the multiset of ``(rate, mem_fraction)``
-        pairs (quantized to :data:`_CACHE_DECIMALS` decimals): two calls
-        whose requests differ only in order observe the same equilibrium,
-        and the per-thread grants are matched back by request value.
+        Results are memoized on the multiset of exact
+        ``(rate, mem_fraction)`` pairs: two calls whose requests differ
+        only in order observe the same equilibrium, and the speed and
+        actual columns are permuted back to the caller's order by value.
         """
         if not self._profiling:
             return self._solve(requests)
@@ -414,46 +445,49 @@ class BusModel:
     def _solve(self, requests: Sequence[BusRequest]) -> BusSolution:
         self._solve_calls += 1
         if not requests:
-            return BusSolution(
-                grants=(), utilisation=0.0, latency_us=self._lam0, total_txus=0.0
-            )
-        key_seq: tuple | None = None
+            empty = _column(())
+            return BusSolution(empty, empty, 0.0, self._lam0, 0.0)
         key: tuple | None = None
         if self._cache_size > 0:
-            key_seq = tuple(
-                (round(req.rate_txus, _CACHE_DECIMALS), round(req.mem_fraction, _CACHE_DECIMALS))
-                for req in requests
-            )
+            key_seq = list(map(_REQUEST_KEY, requests))
             key = tuple(sorted(key_seq))
             entry = self._cache.get(key)
             if entry is not None:
                 self._cache_hits += 1
                 self._cache.move_to_end(key)
-                stored_seq, solution, grant_map = entry
-                if stored_seq == key_seq:
-                    return solution
-                # Same multiset, different request order: rebuild the
-                # grants tuple in the caller's order by value match. The
-                # lane arrays are stored in the *original* order, so they
-                # must not ride along.
-                return replace(
-                    solution,
-                    grants=tuple(grant_map[q] for q in key_seq),
-                    speeds_arr=None,
-                    actuals_arr=None,
-                )
+                if entry[0] == key_seq:
+                    return entry[1]
+                return self._permuted_hit(entry, key_seq)
         if self._cfg.arbitration == "max-min":
             solution = self._solve_max_min(requests)
         else:
             solution = self._solve_shared_latency(requests)
         if key is not None:
-            grant_map = {}
-            for q, grant in zip(key_seq, solution.grants):  # type: ignore[arg-type]
-                grant_map.setdefault(q, grant)
-            self._cache[key] = (key_seq, solution, grant_map)
+            self._cache[key] = [key_seq, solution, None]
             if len(self._cache) > self._cache_size:
                 self._cache.popitem(last=False)
         return solution
+
+    @staticmethod
+    def _permuted_hit(entry: list, key_seq: list) -> BusSolution:
+        """The memoized solution with its columns in ``key_seq``'s order.
+
+        Same multiset, different request order: each request takes the
+        column slot of the first stored request with its key (identical
+        requests have identical grants, so any such slot is exact).
+        """
+        stored_seq, solution, index = entry
+        if index is None:
+            index = {}
+            for i, q in enumerate(stored_seq):
+                index.setdefault(q, i)
+            entry[2] = index
+        order = np.array([index[q] for q in key_seq], dtype=np.intp)
+        return BusSolution(
+            _column(solution.speeds[order]), _column(solution.actuals[order]),
+            solution.utilisation, solution.latency_us, solution.total_txus,
+            solution.saturated,
+        )
 
     # ------------------------------------------------------------------
 
@@ -581,11 +615,16 @@ class BusModel:
             x = x_new
         return 0.5 * (lo + hi) if math.isfinite(hi) else x, steps
 
-    def _grants_at_hoisted(
-        self, params: list[tuple[float, float, float, float]], lam: float
-    ) -> tuple[tuple[ThreadGrant, ...], float]:
+    def _solution_at_hoisted(
+        self,
+        params: list[tuple[float, float, float, float]],
+        lam: float,
+        saturated: bool,
+    ) -> BusSolution:
+        """Speed and actual columns at ``lam`` (the scalar lane loop)."""
         lam0 = self._lam0
-        grants = []
+        speeds = []
+        actuals = []
         total = 0.0
         for r, m, one_minus_m, unfair in params:
             if m == 0.0:
@@ -594,9 +633,11 @@ class BusModel:
                 lam_eff = lam0 + (lam - lam0) * unfair
                 s = 1.0 / (one_minus_m + m * (lam_eff / lam0))
             a = r * s
-            grants.append(ThreadGrant(speed=s, actual_txus=a))
+            speeds.append(s)
+            actuals.append(a)
             total += a
-        return tuple(grants), total
+        util = 1.0 if saturated else total / self._capacity
+        return BusSolution(_column(speeds), _column(actuals), util, lam, total, saturated)
 
     # ------------------------------------------------- batched lane kernels
 
@@ -611,12 +652,8 @@ class BusModel:
         ``r·((m·unfair)/lam0)`` (the lam-independent prefix of the grad
         term — the same product sequence the scalar loop evaluates).
         """
-        n = len(requests)
-        r = np.empty(n)
-        m = np.empty(n)
-        for i, req in enumerate(requests):
-            r[i] = req.rate_txus
-            m[i] = req.mem_fraction
+        r = np.array([req.rate_txus for req in requests])
+        m = np.array([req.mem_fraction for req in requests])
         one_minus_m = 1.0 - m
         unfair = 1.0 + self._cfg.unfairness * one_minus_m
         gcoef = r * ((m * unfair) / self._lam0)
@@ -630,9 +667,9 @@ class BusModel:
         of a Python loop over lanes. Reductions use ``cumsum`` (strictly
         left-to-right, the accumulation order of the scalar loops;
         ``np.sum``'s pairwise tree would round differently), and
-        ``tolist()`` hands back the exact float64 bit patterns, so the
-        returned :class:`BusSolution` is bitwise identical to the same
-        search driven by the scalar :meth:`_throughput_grad_hoisted`.
+        the returned columns carry the exact float64 bit patterns, so the
+        :class:`BusSolution` is bitwise identical to the same search
+        driven by the scalar :meth:`_throughput_grad_hoisted`.
         """
         self._batched_lanes += len(requests)
         cap = self._capacity
@@ -661,15 +698,8 @@ class BusModel:
             s = speeds_at(lam)
             a = r * s
             total = float(a.cumsum()[-1])
-            grants = tuple(
-                ThreadGrant(speed=sv, actual_txus=av)
-                for sv, av in zip(s.tolist(), a.tolist())
-            )
             util = 1.0 if saturated else total / cap
-            return BusSolution(
-                grants, util, lam, total, saturated=saturated,
-                speeds_arr=s, actuals_arr=a,
-            )
+            return BusSolution(_column(s), _column(a), util, lam, total, saturated)
 
         offered = float(r.cumsum()[-1])
         rho = offered / cap
@@ -696,8 +726,7 @@ class BusModel:
         params = self._speed_params(requests)
         throughput_c = self._throughput_hoisted(params, lam_c)
         if throughput_c <= cap:
-            grants, total = self._grants_at_hoisted(params, lam_c)
-            return BusSolution(grants, total / cap, lam_c, total, saturated=False)
+            return self._solution_at_hoisted(params, lam_c, saturated=False)
         # Saturation: find lam with throughput(lam) = capacity. Throughput
         # is strictly decreasing in lam (every request here has m > 0,
         # otherwise throughput could not exceed capacity ... a thread with
@@ -713,8 +742,7 @@ class BusModel:
             hi *= 2.0
         else:  # pragma: no cover - pathological (all m == 0)
             self._bisection_steps += steps
-            grants, total = self._grants_at_hoisted(params, hi)
-            return BusSolution(grants, 1.0, hi, total, saturated=True)
+            return self._solution_at_hoisted(params, hi, saturated=True)
         for _ in range(200):
             steps += 1
             mid = 0.5 * (lo + hi)
@@ -727,8 +755,7 @@ class BusModel:
         self._bisection_steps += steps
         lam = 0.5 * (lo + hi)
         self._last_lam = lam
-        grants, total = self._grants_at_hoisted(params, lam)
-        return BusSolution(grants, 1.0, lam, total, saturated=True)
+        return self._solution_at_hoisted(params, lam, saturated=True)
 
     def _solve_max_min(self, requests: Sequence[BusRequest]) -> BusSolution:
         """Max-min fair division of capacity among demands (ablation ABL-A).
@@ -744,18 +771,23 @@ class BusModel:
         cap = self._capacity
         rates = [req.rate_txus for req in requests]
         allocs = self._max_min_allocation(rates, cap)
-        grants = []
+        speeds = []
+        actuals = []
         total = 0.0
         for req, alloc in zip(requests, allocs):
             if req.rate_txus <= 0.0:
-                grants.append(ThreadGrant(speed=1.0, actual_txus=0.0))
+                speeds.append(1.0)
+                actuals.append(0.0)
                 continue
             g = min(1.0, alloc / req.rate_txus)
             a = req.rate_txus * g
-            grants.append(ThreadGrant(speed=g, actual_txus=a))
+            speeds.append(g)
+            actuals.append(a)
             total += a
         saturated = sum(rates) > cap
-        return BusSolution(tuple(grants), min(total / cap, 1.0), self._lam0, total, saturated)
+        return BusSolution(
+            _column(speeds), _column(actuals), min(total / cap, 1.0), self._lam0, total, saturated
+        )
 
     @staticmethod
     def _max_min_allocation(demands: Sequence[float], capacity: float) -> list[float]:

@@ -49,7 +49,7 @@ class CacheL2:
         self._cfg = config
         self._total = float(config.total_lines)
         self._resident: dict[int, float] = {}
-        # Steady-state memo for account_run_fast: (tid, mine, occ, others,
+        # Steady-state memo for account_run: (tid, mine, occ, others,
         # free) captured after a call that mutated nothing. Any mutation
         # path clears it.
         self._fast: tuple[int, float, float, float, float] | None = None
@@ -84,43 +84,20 @@ class CacheL2:
 
         Residency grows toward the (capacity-capped) footprint; all inflow —
         growth or steady-state streaming — evicts other threads' lines when
-        the cache lacks free space.
-        """
-        if inflow_lines <= 0.0:
-            return
-        self._fast = None
-        cap = min(float(footprint_lines), self._total)
-        mine = self._resident.get(tid, 0.0)
-        grow = min(inflow_lines, max(0.0, cap - mine))
-        # Pollution: every incoming line displaces something once the cache
-        # is full. Lines beyond own growth recycle the thread's own stale
-        # data too, but preferentially hit victims (LRU-ish): model all
-        # non-growth inflow as eviction pressure on others, bounded by what
-        # others actually hold.
-        # free is already clamped non-negative, so subtracting it directly
-        # is exact (no re-clamp needed — bitwise the same displacement).
-        free = max(0.0, self._total - self.occupancy())
-        displacing = max(0.0, inflow_lines - free)
-        self._evict_others(tid, min(displacing, self._others_total(tid)))
-        if grow > 0.0:
-            self._resident[tid] = mine + grow
+        the cache lacks free space. Pollution: every incoming line
+        displaces something once the cache is full. Lines beyond own growth
+        recycle the thread's own stale data too, but preferentially hit
+        victims (LRU-ish): all non-growth inflow is eviction pressure on
+        others, bounded by what others actually hold, and taken from them
+        proportionally.
 
-    def account_run_fast(self, tid: int, footprint_lines: float, inflow_lines: float) -> None:
-        """Unchecked single-pass variant of :meth:`account_run`.
-
-        Byte-equal to :meth:`account_run`: the occupancy and others sums
-        are accumulated in the same dict-iteration order as the two
-        separate passes of the reference path, so eviction fractions (and
-        everything downstream — warmth, rebuild debt) round identically.
-        Used by the machine's SoA advance loop where the call
-        count makes the redundant dict walks show up in profiles.
-
-        A steady-state memo makes the common no-op case O(1): once a
-        thread's residency has converged (no growth possible) and its
-        inflow displaces nothing (either it owns the whole cache or there
-        is enough free space), :meth:`account_run` mutates nothing — so
-        the sums from the previous call stay valid and the decision needs
-        only a few comparisons. Any mutation clears the memo.
+        One pass over the residency sums occupancy and the others' share
+        (left to right, in dict order). A steady-state memo makes the
+        common no-op case O(1): once a thread's residency has converged (no
+        growth possible) and its inflow displaces nothing (it owns the
+        whole cache or there is enough free space), the call mutates
+        nothing — so the sums from the previous call stay valid and the
+        decision needs only a few comparisons. Any mutation clears the memo.
         """
         if inflow_lines <= 0.0:
             return
@@ -162,26 +139,6 @@ class CacheL2:
             self._fast = None
         else:
             self._fast = (tid, mine, occ, others, free)
-
-    def _others_total(self, tid: int) -> float:
-        return sum(v for k, v in self._resident.items() if k != tid)
-
-    def _evict_others(self, tid: int, lines: float) -> None:
-        """Remove ``lines`` from other threads' residency, proportionally."""
-        if lines <= 0.0:
-            return
-        others = self._others_total(tid)
-        if others <= 0.0:
-            return
-        frac = min(1.0, lines / others)
-        for k in list(self._resident):
-            if k == tid:
-                continue
-            kept = self._resident[k] * (1.0 - frac)
-            if kept < 1.0:  # less than one line: gone
-                del self._resident[k]
-            else:
-                self._resident[k] = kept
 
     def forget(self, tid: int) -> None:
         """Drop all residency bookkeeping for a departed thread."""

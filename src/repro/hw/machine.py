@@ -264,11 +264,6 @@ class ThreadState:
     # -- derived --------------------------------------------------------------
 
     @property
-    def running(self) -> bool:
-        """Whether the thread is currently dispatched on a CPU."""
-        return self._store.cpu[self._row] >= 0
-
-    @property
     def runnable(self) -> bool:
         """Eligible for dispatch: not finished, not blocked, not in I/O."""
         s = self._store
@@ -347,6 +342,8 @@ class Machine:
         # Schedulers see logical CPUs; SMT siblings share a core and its L2.
         self.cpus = [Cpu(i) for i in range(config.n_logical_cpus)]
         self.caches = [CacheL2(config.cache) for _ in range(config.n_cpus)]
+        # The L2 of every logical CPU, by cpu id (SMT siblings share one).
+        self._cpu_cache = [self.caches[config.core_of(c)] for c in range(config.n_logical_cpus)]
         self._threads: dict[int, ThreadState] = {}
         self._time = engine.now
         self._dirty = True
@@ -365,9 +362,8 @@ class Machine:
         # rescanning all threads.
         self._ready: set[int] = set()
         self._ready_sorted: list[int] | None = None
-        # Memoized runnable list/rows (see runnable_threads).
+        # Memoized runnable list (see runnable_threads).
         self._runnable_cache: list[ThreadState] | None = None
-        self._runnable_rows: np.ndarray | None = None
         self._dirty_mask_hits = 0
         # SoA lane columns (valid between rebuilds; row-aligned with
         # _lane_rows, which lists store rows in CPU order).
@@ -410,7 +406,7 @@ class Machine:
 
     def cache_of(self, cpu_id: int) -> CacheL2:
         """The L2 cache serving a logical CPU (shared by SMT siblings)."""
-        return self.caches[self.config.core_of(cpu_id)]
+        return self._cpu_cache[cpu_id]
 
     def _smt_factor(self, cpu_id: int) -> float:
         """Execution efficiency of the thread on ``cpu_id`` given siblings.
@@ -592,22 +588,6 @@ class Machine:
         self._runnable_cache = out
         return out
 
-    def runnable_rows(self) -> np.ndarray:
-        """Store rows of the runnable threads, ascending (memoized).
-
-        Same membership and order as :meth:`runnable_threads`
-        (``row == tid - 1``); invalidated at the same lifecycle edges.
-        Callers must treat the array as read-only.
-        """
-        rows = self._runnable_rows
-        if rows is None:
-            s = self.store
-            n = len(self._threads)
-            mask = ~(s.finished[:n] | s.blocked[:n] | s.in_io[:n])
-            rows = np.nonzero(mask)[0]
-            self._runnable_rows = rows
-        return rows
-
     def ready_tids(self) -> list[int]:
         """Tids that are runnable *and* off-CPU, ascending (incremental).
 
@@ -623,7 +603,6 @@ class Machine:
 
     def _invalidate_runnable(self) -> None:
         self._runnable_cache = None
-        self._runnable_rows = None
 
     def _ready_add(self, state: ThreadState) -> None:
         if state.runnable:
@@ -768,12 +747,6 @@ class Machine:
         self._mark_dirty(tid)
         if prev is not None:
             self._mark_dirty(prev)
-
-    def preempt_thread(self, tid: int) -> None:
-        """Remove a thread from whichever CPU it runs on (no-op if not running)."""
-        state = self.thread(tid)
-        if state.cpu is not None:
-            self.dispatch(state.cpu, None)
 
     def set_blocked(self, tid: int, blocked: bool) -> None:
         """Set a thread's blocked flag (CPU-manager signal semantics).
@@ -950,12 +923,14 @@ class Machine:
             requests.append(self.bus.request_for_rate(r_eff))
             lanes.append(_Lane(st, 0.0, pf, 0.0, fill, seg_end))
         solution = self.bus.solve(requests)
-        for lane, grant, req in zip(lanes, solution.grants, requests):
-            lane.speed = grant.speed
-            lane.progress_rate = grant.speed * lane.progress_rate  # pf folded in
-            lane.tx_rate = grant.actual_txus
+        for lane, speed, actual, req in zip(
+            lanes, solution.speeds.tolist(), solution.actuals.tolist(), requests
+        ):
+            lane.speed = speed
+            lane.progress_rate = speed * lane.progress_rate  # pf folded in
+            lane.tx_rate = actual
             if req.rate_txus > 0.0 and lane.fill_rate > 0.0:
-                lane.fill_rate = grant.actual_txus * (lane.fill_rate / req.rate_txus)
+                lane.fill_rate = actual * (lane.fill_rate / req.rate_txus)
         self._lanes = lanes
         self._lane_sig = sig
         self._bus_utilisation = solution.utilisation
@@ -1042,17 +1017,8 @@ class Machine:
         self._lane_rebuilds += 1
         requests = self.bus.requests_for_rates(r_eff.tolist())
         solution = self.bus.solve(requests)
-        sp = solution.speeds_arr
-        if sp is not None and len(sp) == n:
-            ac = solution.actuals_arr
-        else:
-            # Scalar solve (few lanes) or a reordered memo hit dropped the
-            # arrays: lift the grant columns; the fold below is then the
-            # same expressions the scalar fold evaluates per lane.
-            sp = np.fromiter((g.speed for g in solution.grants), dtype=np.float64, count=n)
-            ac = np.fromiter(
-                (g.actual_txus for g in solution.grants), dtype=np.float64, count=n
-            )
+        sp = solution.speeds
+        ac = solution.actuals
         pr = sp * pf
         mask = (r_eff > 0.0) & (fill > 0.0)
         ratio = np.divide(fill, r_eff, out=np.zeros(n), where=mask)
@@ -1079,11 +1045,12 @@ class Machine:
     def _bind_lane_handles(self, rows: np.ndarray) -> None:
         """(Re)capture per-lane cache accounting handles from live placement."""
         s = self.store
-        cache_of = self.cache_of
-        fps = s.footprint_lines
+        cpu_cache = self._cpu_cache
         self._adv_cacc = [
-            (cache_of(c), r + 1, float(fps[r]))
-            for c, r in zip(s.cpu[rows].tolist(), rows.tolist())
+            (cpu_cache[c], r + 1, fp)
+            for c, r, fp in zip(
+                s.cpu[rows].tolist(), rows.tolist(), s.footprint_lines[rows].tolist()
+            )
         ]
 
     def horizon(self) -> float:
@@ -1212,8 +1179,9 @@ class Machine:
                         cycles_us=dt,
                         work_us=lane.progress_rate * dt,
                     )
-                    assert st.cpu is not None
-                    self.cache_of(st.cpu).account_run(st.tid, st.footprint_lines, tx)
+                    cpu = st.cpu
+                    assert cpu is not None
+                    self._cpu_cache[cpu].account_run(st.tid, st.footprint_lines, tx)
                     if lane.fill_rate > 0.0:
                         st.rebuild_debt = max(0.0, st.rebuild_debt - lane.fill_rate * dt)
         self._time = t
@@ -1241,7 +1209,7 @@ class Machine:
         s.run_time_us[rows] += dt
         self.counters.credit_rows(self._adv_crows, dtx, dt, dwork)
         for (cache, tid, fp), tx in zip(self._adv_cacc, dtx.tolist()):
-            cache.account_run_fast(tid, fp, tx)
+            cache.account_run(tid, fp, tx)
         fsel = self._lane_fill_pos
         if fsel is not None:
             frows, frate = fsel

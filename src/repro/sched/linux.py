@@ -12,7 +12,10 @@ relevant mechanics, reproduced here:
   (O(n)) and takes the highest ``goodness``: zero for exhausted counters,
   else ``counter`` plus a large affinity bonus (``PROC_CHANGE_PENALTY``)
   if the thread last ran on this CPU — the cache-affinity heuristic the
-  paper describes ("All SMP schedulers use cache affinity links").
+  paper describes ("All SMP schedulers use cache affinity links"). The
+  simulator computes the picks of a whole scheduling pass from one
+  ranking of the ready set (:meth:`LinuxScheduler._pick_for_cpus`); the
+  modelled decision stays the per-CPU O(n) scan.
 * **Wakeup preemption** — an unblocked thread takes an idle CPU if any
   (preferring the one it last ran on), otherwise it preempts the running
   thread with the lowest goodness, if its own is higher
@@ -33,6 +36,8 @@ from __future__ import annotations
 
 import bisect
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from ..config import LinuxSchedConfig
 from ..sim.events import EventPriority
@@ -125,94 +130,152 @@ class LinuxScheduler(KernelScheduler):
             self._ticking = False
             return
         cfg = self.config
-        # 1. charge the running threads for the elapsed tick
-        expired: set[int] = set()
-        for cpu in machine.cpus:
-            if cpu.tid is None:
+        counters = self._counters
+        # 1. charge the running threads for the elapsed tick; the CPUs
+        #    whose thread expired (or that are idle) pick again in step 3
+        repick: list[int] = []
+        for cpu_id, tid in enumerate(machine.cpu_tids.tolist()):
+            if tid < 0:
+                repick.append(cpu_id)
                 continue
-            c = self._counters.get(cpu.tid, 0)
-            c = max(0, c - 1)
-            self._counters[cpu.tid] = c
+            c = max(0, counters.get(tid, 0) - 1)
+            counters[tid] = c
             if c == 0:
-                expired.add(cpu.tid)
+                repick.append(cpu_id)
         # 2. epoch: if every runnable thread has an exhausted counter,
         #    recharge everyone (sleepers keep half — 2.4 semantics)
         runnable = machine.runnable_threads()
-        if runnable and all(self._counters.get(t.tid, 0) == 0 for t in runnable):
-            self._epochs += 1
-            for t in machine.threads():
-                if not t.finished:
-                    # counter//2 carry-over (2.4 sleeper bonus) plus one
-                    # tick of jitter so slices do not re-synchronize into
-                    # lockstep cohorts after every epoch.
-                    jitter = int(self.rng.integers(0, 2))
-                    self._counters[t.tid] = (
-                        self._counters.get(t.tid, 0) // 2 + cfg.default_ticks + jitter
-                    )
-            machine.trace.record(machine.now, "sched.epoch", number=self._epochs)
-        # 3. CPUs whose thread expired (or that are idle) pick again
-        for cpu in machine.cpus:
-            needs = cpu.tid is None or cpu.tid in expired
-            if needs:
-                self._pick_for_cpu(cpu.cpu_id)
+        if runnable and all(counters.get(t.tid, 0) == 0 for t in runnable):
+            self._recharge_counters()
+        # 3. one scheduling pass over the CPUs that need a pick
+        self._pick_for_cpus(repick)
         # 4. residual migration noise of the real kernel
         if cfg.rebalance_prob > 0.0 and float(self.rng.random()) < cfg.rebalance_prob:
             self._random_rebalance()
         self.engine.schedule_after(cfg.tick_us, self._tick, priority=EventPriority.KERNEL)
 
-    def _pick_for_cpu(self, cpu_id: int) -> None:
-        """O(n) scan: dispatch the highest-goodness candidate.
+    def _recharge_counters(self) -> None:
+        """Start an epoch: recharge every unfinished thread's counter.
 
-        2.4 semantics: if the scan finds only zero-goodness candidates
-        (exhausted slices) while waiters exist, ``schedule()`` recharges
-        every process's counter and rescans — otherwise a CPU could sit
-        idle next to a runnable thread whose slice just ran out.
-
-        The candidate set of the O(n) runqueue scan is exactly the
-        off-CPU runnable threads plus this CPU's incumbent — every other
-        runnable thread is running elsewhere and gets skipped. The
-        machine maintains that set incrementally (``ready_tids``), so the
-        scan iterates it directly (same threads, same tid order, same
-        goodness calls and lazy counter initializations as the full
-        scan) instead of touching all n threads per pick.
+        ``counter//2`` carry-over (the 2.4 sleeper bonus) plus one tick of
+        jitter, drawn in tid order, so slices do not re-synchronize into
+        lockstep cohorts after every epoch.
         """
         machine = self.machine
-        current = machine.cpus[cpu_id].tid
-        thread = machine.thread
-        for attempt in range(2):
-            best_tid: int | None = None
-            best_g = 0.0
-            ready = machine.ready_tids()
-            waiters = bool(ready)
-            if current is not None:
-                candidates = list(ready)
-                bisect.insort(candidates, current)
-            else:
-                candidates = ready
-            for tid in candidates:
-                g = self.goodness(thread(tid), cpu_id)
-                if g > best_g:
-                    best_g = g
-                    best_tid = tid
-            if best_tid is not None:
-                if best_tid != current:
-                    machine.dispatch(cpu_id, best_tid)
-                return
-            if not waiters and current is not None:
-                return  # keep the incumbent; nobody else to run
-            if attempt == 0 and waiters:
-                # recalculate_counters: all candidates exhausted
-                cfg = self.config
-                for t in machine.threads():
-                    if not t.finished:
-                        jitter = int(self.rng.integers(0, 2))
-                        self._counters[t.tid] = (
-                            self._counters.get(t.tid, 0) // 2 + cfg.default_ticks + jitter
-                        )
-                self._epochs += 1
-                machine.trace.record(machine.now, "sched.epoch", number=self._epochs)
-                continue
+        counters = self._counters
+        default = self.config.default_ticks
+        for t in machine.threads():
+            if not t.finished:
+                jitter = int(self.rng.integers(0, 2))
+                counters[t.tid] = counters.get(t.tid, 0) // 2 + default + jitter
+        self._epochs += 1
+        machine.trace.record(machine.now, "sched.epoch", number=self._epochs)
+
+    def _rank_ready(self) -> tuple[list[tuple[int, int]], dict[int, list[tuple[int, int]]]]:
+        """Rank the ready set by ``(−counter, tid)``, overall and per last CPU.
+
+        Both rankings are sorted lists of the same keys; the per-CPU lists
+        hold the threads that last ran on that CPU (never-run threads fall
+        under ``-1``, which no CPU matches).
+        """
+        machine = self.machine
+        ready = machine.ready_tids()
+        counters = self._counters
+        last_cpu = machine.store.last_cpu[np.asarray(ready, dtype=np.int64) - 1].tolist()
+        last_of = dict(zip(ready, last_cpu))
+        rank = sorted([(-counters[tid], tid) for tid in ready])
+        by_last: dict[int, list[tuple[int, int]]] = {}
+        for key in rank:
+            by_last.setdefault(last_of[key[1]], []).append(key)
+        return rank, by_last
+
+    def _best_for_cpu(
+        self,
+        rank: list[tuple[int, int]],
+        affine: list[tuple[int, int]] | None,
+        current: int,
+    ) -> int | None:
+        """Highest-goodness candidate of one CPU, ties to the lowest tid.
+
+        The candidates are the ranked ready threads and the incumbent
+        (``current``, −1 for an idle CPU). Only three can win: the head of
+        the CPU's affinity list (bonus added), the overall head, and the
+        incumbent, which last ran here by construction. The overall head
+        is scored without the bonus; when it last ran here it is also the
+        affinity head and scored again with it. ``None`` when every
+        candidate's slice is exhausted (goodness 0).
+        """
+        bonus = self.config.affinity_bonus
+        best: int | None = None
+        best_g = 0
+        neg, tid = rank[0]
+        if -neg > 0:
+            best_g, best = -neg, tid
+        if affine:
+            neg, tid = affine[0]
+            g = -neg + bonus
+            if -neg > 0 and (g > best_g or (g == best_g and tid < best)):
+                best_g, best = g, tid
+        if current >= 0:
+            c = self._counter_of(current)
+            g = c + bonus
+            if c > 0 and (g > best_g or (g == best_g and current < best)):
+                best = current
+        return best
+
+    def _pick_for_cpus(self, cpu_ids: list[int]) -> None:
+        """One scheduling pass: each CPU in ``cpu_ids`` (ascending) picks.
+
+        2.4 semantics, CPU by CPU: the CPU takes the candidate of highest
+        goodness (ties to the lowest tid) among the off-CPU runnable
+        threads and its incumbent, which it keeps if that one wins. A
+        preempted incumbent is a candidate for the CPUs after it. If every
+        candidate's slice is exhausted while waiters exist, ``schedule()``
+        recharges every counter and picks again — otherwise a CPU could
+        sit idle next to a runnable thread whose slice just ran out.
+
+        The modelled decision is the O(n) runqueue scan per CPU; the pass
+        computes the same picks from one ranking of the ready set
+        (:meth:`_rank_ready`), which only a recharge reorders. A thread
+        forked after :meth:`start` gets its lazy counter here, where the
+        first scan would have: not when no CPU picks. Incumbents handed to
+        a pass already hold a counter (charged in step 1 of the tick), and
+        a CPU with nothing ready has nothing to change, so the pass
+        returns as soon as no thread is ready.
+        """
+        machine = self.machine
+        ready = machine.ready_tids()
+        if not ready or not cpu_ids:
             return
+        counters = self._counters
+        for tid in ready:
+            self._counter_of(tid)
+        rank, by_last = self._rank_ready()
+        occupancy = machine.cpu_tids.tolist()
+        last_cpu = machine.store.last_cpu
+        for cpu_id in cpu_ids:
+            if not rank:
+                return
+            current = occupancy[cpu_id]
+            best = self._best_for_cpu(rank, by_last.get(cpu_id), current)
+            if best is None:
+                # recalculate_counters: all candidates exhausted
+                self._recharge_counters()
+                rank, by_last = self._rank_ready()
+                best = self._best_for_cpu(rank, by_last.get(cpu_id), current)
+                assert best is not None  # every counter is now >= default_ticks
+            if best == current:
+                continue
+            key = (-counters[best], best)
+            rank.pop(bisect.bisect_left(rank, key))
+            affine = by_last[int(last_cpu[best - 1])]
+            affine.pop(bisect.bisect_left(affine, key))
+            machine.dispatch(cpu_id, best)
+            if current >= 0:
+                # The preempted incumbent is ready again (it last ran here).
+                key = (-counters[current], current)
+                bisect.insort(rank, key)
+                bisect.insort(by_last.setdefault(cpu_id, []), key)
 
     def _random_rebalance(self) -> None:
         busy = [c.cpu_id for c in self.machine.cpus if c.tid is not None]
@@ -261,9 +324,7 @@ class LinuxScheduler(KernelScheduler):
     # ---------------------------------------------------------------- helpers
 
     def _fill_idle_cpus(self) -> None:
-        for cpu in self.machine.cpus:
-            if cpu.tid is None:
-                self._pick_for_cpu(cpu.cpu_id)
+        self._pick_for_cpus(np.flatnonzero(self.machine.cpu_tids < 0).tolist())
 
     def _wake_thread(self, tid: int) -> None:
         """2.4 ``reschedule_idle``: idle CPU first (prefer affinity), else

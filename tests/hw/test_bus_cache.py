@@ -1,5 +1,7 @@
 """Unit tests for the bus-solve memo cache (hit/miss accounting, eviction,
-permutation hits, and cached-vs-uncached identity)."""
+permutation hits, exact keys, and cached-vs-uncached identity)."""
+
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -57,6 +59,20 @@ class TestAccounting:
         assert bus.bisection_steps == steps_after_miss
 
 
+class TestExactKeys:
+    def test_rates_one_ulp_apart_do_not_share_an_entry(self, bus):
+        rate = 7.25
+        bus.solve(_requests(bus, [rate]))
+        bus.solve(_requests(bus, [math.nextafter(rate, math.inf)]))
+        assert bus.cache_hits == 0
+        assert bus.cache_len == 2
+
+    def test_equal_rates_hit_through_distinct_request_objects(self, bus):
+        bus.solve([BusRequest(4.0, 0.5), BusRequest(9.0, 0.75)])
+        bus.solve([BusRequest(4.0, 0.5), BusRequest(9.0, 0.75)])
+        assert bus.cache_hits == 1
+
+
 class TestPermutation:
     def test_permuted_requests_hit_and_grants_follow_caller_order(self, bus):
         rates = [2.0, 9.0, 17.0]
@@ -103,10 +119,10 @@ class TestEviction:
         assert second == first
 
 
-# Rates rounded to 6 decimals are exactly representable at the cache's
-# 12-decimal key quantization, so a cached replay must be bitwise equal
-# to an uncached solve of the same multiset.
-_rate = st.floats(min_value=0.001, max_value=40.0).map(lambda r: round(r, 6))
+# The cache keys on the exact (rate, mem_fraction) floats, so a cached
+# replay must be bitwise equal to an uncached solve of the same multiset,
+# whatever the rates' bits.
+_rate = st.floats(min_value=0.001, max_value=40.0)
 
 
 class TestCachedEqualsUncached:

@@ -7,16 +7,18 @@ every elementwise numpy op rounds exactly like the scalar float op, and
 the reductions are strict left-to-right ``cumsum`` folds — so equality
 below is ``==``, never ``approx``. The module also covers the lane-count
 selector (bisection below :data:`_BATCH_MIN_LANES`), the
-``batched_lanes`` counter and the ``speeds_arr`` / ``actuals_arr``
-plumbing used by the machine's settle path.
+``batched_lanes`` counter and the ``speeds`` / ``actuals`` columns the
+machine's settle path reads.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import BusConfig
-from repro.hw.bus import _BATCH_MIN_LANES, BusModel, BusSolution
+import repro.hw.bus as bus_module
+from repro.hw.bus import _BATCH_MIN_LANES, BusModel, BusSolution, ThreadGrant
 from tests.conftest import bus_finder
 
 _rates = st.floats(min_value=0.0, max_value=60.0, allow_nan=False, allow_infinity=False)
@@ -38,14 +40,12 @@ def _scalar_newton_solve(bus: BusModel, rates) -> BusSolution:
     lam_c = bus.contention_latency(offered / cap)
     params = bus._speed_params(requests)
     if bus._throughput_hoisted(params, lam_c) <= cap:
-        grants, total = bus._grants_at_hoisted(params, lam_c)
-        return BusSolution(grants, total / cap, lam_c, total, saturated=False)
+        return bus._solution_at_hoisted(params, lam_c, saturated=False)
     lam, _ = bus._saturation_root_newton(
         lambda x: bus._throughput_grad_hoisted(params, x), lam_c, cap
     )
     bus._last_lam = lam  # the warm start the batched solve keeps too
-    grants, total = bus._grants_at_hoisted(params, lam)
-    return BusSolution(grants, 1.0, lam, total, saturated=True)
+    return bus._solution_at_hoisted(params, lam, saturated=True)
 
 
 def _batched(rates, bus: BusModel) -> BusSolution:
@@ -148,37 +148,73 @@ class TestBatchedLanesCounter:
 
 
 class TestLaneArrays:
-    """``speeds_arr``/``actuals_arr``: the machine's batched-settle feed."""
+    """``speeds``/``actuals``: the columns every finder returns."""
 
     _WIDE = [28.0 + 0.75 * i for i in range(_BATCH_MIN_LANES)]
 
     def test_wide_vector_solve_exposes_arrays_matching_grants(self):
         vector = BusModel(BusConfig(solve_cache_size=0))
         sol = _solve(vector, self._WIDE)
-        assert sol.speeds_arr is not None and sol.actuals_arr is not None
+        assert vector.batched_lanes == len(self._WIDE)
         # Same bits, request order — the machine folds these straight
-        # into its lane arrays without touching the grant tuples.
-        assert sol.speeds_arr.tolist() == [g.speed for g in sol.grants]
-        assert sol.actuals_arr.tolist() == [g.actual_txus for g in sol.grants]
+        # into its lane arrays; the grants are a view built on access.
+        assert sol.speeds.dtype == np.float64 and len(sol.speeds) == len(self._WIDE)
+        assert sol.speeds.tolist() == [g.speed for g in sol.grants]
+        assert sol.actuals.tolist() == [g.actual_txus for g in sol.grants]
 
-    def test_scalar_solve_has_no_arrays(self):
+    def test_scalar_solve_has_columns_too(self):
         bisect = BusModel(BusConfig(solve_cache_size=0))
         sol = _solve(bisect, (30.0, 35.0, 40.0, 45.0))
-        assert sol.speeds_arr is None and sol.actuals_arr is None
+        assert bisect.batched_lanes == 0
+        assert sol.speeds.dtype == np.float64 and len(sol.actuals) == 4
+        assert sol.speeds.tolist() == [g.speed for g in sol.grants]
 
-    def test_reordered_memo_replay_drops_arrays(self):
-        # A permuted replay reorders the grant tuple; the stored arrays
-        # would still be in first-solve order, so they must not survive.
+    def test_columns_are_read_only(self):
+        # A memo hit hands the same columns to every caller.
+        for rates in (self._WIDE, self._WIDE[:4]):
+            sol = _solve(BusModel(BusConfig()), rates)
+            with pytest.raises(ValueError):
+                sol.speeds[0] = 0.0
+            with pytest.raises(ValueError):
+                sol.actuals[0] = 0.0
+
+    def test_batched_miss_builds_no_grant(self, monkeypatch):
+        def no_grants(*args, **kwargs):
+            raise AssertionError("a solve built a ThreadGrant")
+
+        monkeypatch.setattr(bus_module, "ThreadGrant", no_grants)
+        vector = BusModel(BusConfig())
+        sol = _solve(vector, self._WIDE)
+        assert vector.batched_lanes == len(self._WIDE) and vector.cache_hits == 0
+        _solve(vector, list(reversed(self._WIDE)))  # permuted hit
+        assert vector.cache_hits == 1
+        with pytest.raises(AssertionError):
+            sol.grants  # noqa: B018 - only an access builds them
+
+    def test_permuted_hit_returns_grants_in_caller_order(self):
         vector = BusModel(BusConfig())
         first = _solve(vector, self._WIDE)
-        assert first.speeds_arr is not None
-        replay = _solve(vector, list(reversed(self._WIDE)))
-        assert vector.cache_hits >= 1
-        assert replay.speeds_arr is None and replay.actuals_arr is None
-        assert replay.grants == tuple(reversed(first.grants))
+        order = list(range(len(self._WIDE)))[::-1]
+        order[0], order[5] = order[5], order[0]
+        replay = _solve(vector, [self._WIDE[i] for i in order])
+        assert vector.cache_hits == 1
+        assert vector.batched_lanes == len(self._WIDE)  # no second search
+        assert replay.grants == tuple(first.grants[i] for i in order)
+        assert replay.speeds.tolist() == [first.speeds[i] for i in order]
+        assert replay.actuals.tolist() == [first.actuals[i] for i in order]
+        assert replay.latency_us == first.latency_us
+        assert replay.total_txus == first.total_txus
+        # The same permutation again reuses the entry's index map.
+        again = _solve(vector, [self._WIDE[i] for i in order])
+        assert again == replay
 
-    def test_arrays_do_not_affect_solution_equality(self):
+    def test_columns_decide_solution_equality(self):
         sol_v = _solve(BusModel(BusConfig(solve_cache_size=0)), self._WIDE)
         sol_n = _scalar_newton_solve(BusModel(BusConfig(solve_cache_size=0)), self._WIDE)
-        assert sol_v.speeds_arr is not None and sol_n.speeds_arr is None
-        assert sol_v == sol_n  # despite one carrying arrays, one not
+        assert sol_v == sol_n
+        other = BusSolution(
+            sol_v.speeds, sol_v.actuals[::-1].copy(), sol_v.utilisation,
+            sol_v.latency_us, sol_v.total_txus, sol_v.saturated,
+        )
+        assert other != sol_v
+        assert ThreadGrant(1.0, 0.0) == ThreadGrant(1.0, 0.0)

@@ -63,7 +63,8 @@ def test_random_operation_sequences_preserve_invariants(rates, ops):
             if thread.runnable:
                 machine.dispatch(cpu_idx, thread.tid)
         elif op == "preempt":
-            machine.preempt_thread(thread.tid)
+            if thread.cpu is not None:
+                machine.dispatch(thread.cpu, None)
         elif op == "block":
             machine.set_blocked(thread.tid, True)
         elif op == "unblock":
