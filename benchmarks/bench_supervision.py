@@ -8,11 +8,14 @@ supervision costs an execution that never faults, and writes
   fault-free **serial** ``run_many`` — gated at **< 2%** with the same
   median-of-paired-ratios method as ``bench_faults.py`` (supervision is
   inert on the serial path by design, so this gate pins that down);
-* the fault-free **parallel** supervised/unsupervised ratio, reported but
-  not gated (it measures the deadline-poll loop, and single-core CI boxes
-  make parallel wall times too noisy to gate honestly);
-* three bit-identity gates: supervised serial vs unsupervised serial,
-  supervised parallel vs serial (fork permitting), and — the retry
+* the fault-free **parallel** ratio of the default ``SupervisionConfig``
+  (finite deadlines, polled) over the "plain" leg, reported but not
+  gated. Every parallel ``run_many`` runs the same supervised loop, so
+  the plain leg is the no-config default: crash isolation with no
+  deadline, which blocks instead of polling. Single-core CI boxes make
+  parallel wall times too noisy to gate honestly;
+* three bit-identity gates: configured serial vs unconfigured serial,
+  configured parallel vs serial (fork permitting), and — the retry
   contract — a run whose worker is chaos-SIGKILLed on first attempt and
   succeeds on retry must equal the first-try serial result exactly.
 

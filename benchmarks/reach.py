@@ -12,7 +12,12 @@ tests reach is a candidate for deletion.
 The drivers:
 
 * every EXPERIMENTS.md artifact through the CLI, at smoke scale with
-  ``--jobs 1`` (so every simulation runs in a recorded process);
+  ``--jobs 1``. Forked workers exit through ``os._exit``, which skips
+  the recorder's ``atexit`` dump, so a simulation only counts when it
+  runs in the parent process;
+* one ``fig2 --jobs 2`` run, so that the parallel dispatch loop of
+  ``repro.parallel.run_many`` is reached in the parent (its workers'
+  calls go unrecorded, as above);
 * the ``perfbench/inputs.py`` specs of the ``fig2_grid``, ``large_smp``
   and ``open_churn`` workloads, imported read-only;
 * ``benchmarks/service_smoke.py``, which drives ``repro serve`` over HTTP.
@@ -76,6 +81,8 @@ def drivers(scratch: str) -> list[tuple[str, list[str]]]:
         ("validate", [*cli, "validate", "--scale", "0.02", "--jobs", "1"]),
         ("fig2 audit+profile", [*cli, "fig2", "--set", "A", "--apps", "CG",
                                 "--scale", "0.05", "--jobs", "1", "--audit", "--profile"]),
+        ("fig2 parallel", [*cli, "fig2", "--set", "A", "--apps", "CG",
+                           "--scale", "0.02", "--jobs", "2"]),
         ("dynamic poisson", [*dyn, "--rate", "1.0", "--policy", "latest_quantum",
                              "--jobs", "1"]),
         ("dynamic mmpp", [*dyn, "--rates", "0.5,2.0", "--arrival", "mmpp",

@@ -222,9 +222,7 @@ def _progress(args: argparse.Namespace):
     if resolve_jobs(args.jobs) <= 1:
         return None
 
-    def report(done: int, total: int, note: str | None = None) -> None:
-        if note:
-            print(f"\r[{note}]", file=sys.stderr)
+    def report(done: int, total: int) -> None:
         print(f"\r[{done}/{total} simulations]", end="", file=sys.stderr)
         if done == total:
             print(file=sys.stderr)

@@ -62,7 +62,7 @@ class WorkloadError(ReproError):
 
 
 class ExecutionError(ReproError):
-    """A supervised :func:`repro.parallel.run_many` spec failed terminally.
+    """A parallel :func:`repro.parallel.run_many` spec failed terminally.
 
     Base of the worker-supervision failure family. Unlike an exception a
     spec *raises* (which propagates as itself), these describe failures of
@@ -82,7 +82,7 @@ class ExecutionError(ReproError):
 class WorkerCrashError(ExecutionError):
     """A worker process died while executing one spec (attempt cap hit).
 
-    Raised by a supervised ``run_many`` after the spec crashed its
+    Raised by a parallel ``run_many`` after the spec crashed its
     isolation worker ``attempts`` times in a row (``BrokenProcessPool`` /
     a worker killed by a signal). Deterministic simulations never crash
     workers on their own, so this points at a poisoned spec or external

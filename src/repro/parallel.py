@@ -21,8 +21,14 @@ the paths are *bit-identical*:
 
 Worker processes are forked, so the cheap platform check
 :func:`fork_available` gates the pool: platforms without ``fork`` (or
-``jobs=1``) fall back to the serial path transparently. Exceptions raised
-inside a worker propagate to the caller.
+``jobs=1``) fall back to the serial path, with a warning on the
+``repro.parallel`` logger. Exceptions raised inside a worker propagate to
+the caller.
+
+The parallel path is one supervised dispatch loop: a worker that dies
+mid-batch does not abort the batch; its unfinished specs re-run one at a
+time in isolation (see :class:`SupervisionConfig`). Callers that pass no
+config get crash isolation with no wall-clock deadline.
 
 Usage::
 
@@ -38,7 +44,7 @@ paired with each result.
 
 from __future__ import annotations
 
-import inspect
+import logging
 import math
 import multiprocessing
 import os
@@ -69,13 +75,13 @@ __all__ = [
     "SupervisionConfig",
 ]
 
-#: Callback invoked as tasks complete: ``progress(done, total)``. Callbacks
-#: accepting a third positional argument also receive occasional string
-#: notes (e.g. the fork-unavailable serial fallback).
-ProgressFn = Callable[..., None]
+#: Callback invoked as tasks complete: ``progress(done, total)``.
+ProgressFn = Callable[[int, int], None]
 
 #: Worker-side post-processor: ``collect(result, handle) -> picklable``.
 CollectFn = Callable[..., Any]
+
+_log = logging.getLogger(__name__)
 
 
 def fork_available() -> bool:
@@ -187,9 +193,9 @@ def auto_chunk_size(total: int, n_jobs: int) -> int:
 class SupervisionConfig:
     """Worker-supervision policy for the parallel :func:`run_many` path.
 
-    With supervision enabled, a worker process dying mid-batch
+    Every parallel run is supervised. A worker process dying mid-batch
     (``BrokenProcessPool`` — e.g. an OOM kill or an external SIGKILL) or a
-    worker exceeding its wall-clock budget no longer aborts the whole
+    worker exceeding its wall-clock budget does not abort the whole
     batch: the supervisor harvests every already-completed run, then
     re-executes the unfinished specs one at a time in *isolation* (a fresh
     single-worker pool per attempt) with bounded exponential-backoff
@@ -205,10 +211,12 @@ class SupervisionConfig:
     Timeouts derive from observed behaviour: each chunk's wall-clock
     budget is ``specs_in_chunk × clamp(timeout_factor × max(observed
     per-spec wall times), floor, ceiling)`` — before any spec has
-    completed, the ceiling applies. Supervision is inert on the serial
-    path (an in-process run cannot be preempted or crash in isolation),
-    which is also why its fault-free overhead is ~zero there (gated by
-    ``benchmarks/bench_supervision.py``).
+    completed, the ceiling applies. An infinite floor and ceiling set no
+    deadline at all; that is the policy of callers that pass no config
+    (:data:`_NO_DEADLINE`). Every other field must be a finite number.
+    Supervision is inert on the serial path (an in-process run cannot be
+    preempted or crash in isolation), which is also why its fault-free
+    overhead is ~zero there (gated by ``benchmarks/bench_supervision.py``).
 
     Attributes
     ----------
@@ -237,6 +245,12 @@ class SupervisionConfig:
     poll_s: float = 0.05
 
     def __post_init__(self) -> None:
+        for name in ("timeout_floor_s", "timeout_ceiling_s"):
+            if math.isnan(getattr(self, name)):
+                raise ValueError(f"{name} must not be NaN")
+        for name in ("timeout_factor", "backoff_base_s", "backoff_max_s", "poll_s"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
         if not 0.0 < self.timeout_floor_s <= self.timeout_ceiling_s:
@@ -264,6 +278,11 @@ class SupervisionConfig:
     def backoff_for(self, attempt: int) -> float:
         """Sleep before retrying after the ``attempt``-th failure."""
         return min(self.backoff_base_s * (2.0 ** max(0, attempt - 1)), self.backoff_max_s)
+
+
+#: The policy of a parallel :func:`run_many` given no config: crash
+#: isolation and retries, never a wall-clock deadline.
+_NO_DEADLINE = SupervisionConfig(timeout_floor_s=math.inf, timeout_ceiling_s=math.inf)
 
 
 def _kill_pool_workers(pool: ProcessPoolExecutor) -> None:
@@ -318,38 +337,6 @@ def _chaos_kill_check(spec: SimulationSpec) -> None:
         time.sleep(3600.0)
 
 
-def _supports_note(progress: ProgressFn) -> bool:
-    """Whether a progress callback accepts a third (note) argument."""
-    try:
-        sig = inspect.signature(progress)
-    except (TypeError, ValueError):  # builtins, C callables: stay conservative
-        return False
-    positional = 0
-    for param in sig.parameters.values():
-        if param.kind is inspect.Parameter.VAR_POSITIONAL:
-            return True
-        if param.kind in (
-            inspect.Parameter.POSITIONAL_ONLY,
-            inspect.Parameter.POSITIONAL_OR_KEYWORD,
-        ):
-            positional += 1
-    return positional >= 3
-
-
-def _notify(
-    progress: ProgressFn | None, done: int, total: int, note: str | None = None
-) -> None:
-    if progress is None:
-        return
-    if note is not None:
-        # Notes are advisory: only callbacks with a third positional slot
-        # receive them; legacy two-arg callbacks see no extra call.
-        if _supports_note(progress):
-            progress(done, total, note)
-        return
-    progress(done, total)
-
-
 def _execute(
     task: tuple[int, SimulationSpec, CollectFn | None],
 ) -> tuple[int, RunResult, Any, float]:
@@ -399,13 +386,12 @@ def run_many(
         Worker processes. ``1`` (default) runs serially in-process;
         ``None`` reads the ``REPRO_JOBS`` env var; ``<= 0`` uses every
         core. Jobs are clamped to ``len(specs)``, and platforms without
-        ``fork`` run serially regardless (reported through ``progress``).
+        ``fork`` run serially regardless (logged as a warning on the
+        ``repro.parallel`` logger).
     progress:
         Optional ``progress(done, total)`` callback, invoked in the parent
         as specs complete (in completion order; once per finished chunk in
-        parallel mode, with ``done`` counting finished *specs*). Callbacks
-        taking a third positional argument also receive occasional string
-        notes, e.g. when the serial fallback engages.
+        parallel mode, with ``done`` counting finished *specs*).
     collect:
         Optional module-level ``collect(result, handle)`` function run in
         the worker; when given, the return value is ``[(result, aux), ...]``
@@ -414,6 +400,7 @@ def run_many(
         Specs per worker task. ``None`` picks :func:`auto_chunk_size`
         (≈ ``total / (4 · jobs)``). Larger chunks amortise fork/IPC cost;
         chunking never changes results — only dispatch granularity.
+        Must be ``>= 1`` on every path.
     on_result:
         Optional ``on_result(index, result, wall_s)`` callback, invoked in
         the parent as each spec completes (completion order, not spec
@@ -428,21 +415,23 @@ def run_many(
         already-dispatched chunks finish (their results are still
         reported). Unstarted specs stay ``None`` in the returned list.
     supervise:
-        Optional :class:`SupervisionConfig`. When given (and the parallel
-        path engages), worker death and per-spec wall-clock timeouts are
-        survived: completed runs are harvested, unfinished specs re-run
-        one at a time in isolation with bounded retries, and a spec that
-        keeps failing raises :class:`~repro.errors.WorkerCrashError` or
+        The :class:`SupervisionConfig` of the parallel path. Every
+        parallel run is supervised: worker death (and, with finite
+        timeouts, a spec over its wall-clock budget) is survived,
+        completed runs are harvested, unfinished specs re-run one at a
+        time in isolation with bounded retries, and a spec that keeps
+        failing raises :class:`~repro.errors.WorkerCrashError` or
         :class:`~repro.errors.RunTimeoutError` carrying its index and
-        attempt count. Inert on the serial path — an in-process run
-        cannot be preempted, and nothing is retried.
+        attempt count. ``None`` isolates crashes but sets no deadline.
+        Inert on the serial path — an in-process run cannot be
+        preempted, and nothing is retried.
 
     Raises
     ------
     WorkerCrashError, RunTimeoutError
-        Only with ``supervise``: one spec exhausted its attempt cap.
-        Every run that completed before the raise was already delivered
-        through ``on_result``.
+        Parallel path only: one spec exhausted its attempt cap. Every run
+        that completed before the raise was already delivered through
+        ``on_result``.
 
     Returns
     -------
@@ -452,6 +441,8 @@ def run_many(
         serial and parallel execution (and any chunk size). Entries for
         specs skipped by ``cancel`` are ``None``.
     """
+    if chunk_size is not None and chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     total = len(specs)
     n_jobs = resolve_jobs(jobs, total)
     tasks = [(i, spec, collect) for i, spec in enumerate(specs)]
@@ -464,79 +455,28 @@ def run_many(
 
     if n_jobs <= 1 or total <= 1 or not fork_available():
         if n_jobs > 1 and total > 1:
-            _notify(progress, 0, total, "fork unavailable: falling back to serial execution")
+            _log.warning("fork unavailable: falling back to serial execution")
         for done, task in enumerate(tasks, start=1):
             if cancel is not None and cancel():
                 break
             _record(*_execute(task))
-            _notify(progress, done, total)
+            if progress is not None:
+                progress(done, total)
         return out
 
-    if chunk_size is not None and chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     chunk = chunk_size if chunk_size is not None else auto_chunk_size(total, n_jobs)
     chunks = [tasks[i : i + chunk] for i in range(0, total, chunk)]
-
-    ctx = multiprocessing.get_context("fork")
-    if supervise is None:
-        _run_pool(chunks, n_jobs, ctx, _record, progress, total, cancel)
-    else:
-        _run_supervised(chunks, n_jobs, ctx, supervise, _record, progress, total, cancel)
+    _run_supervised(
+        chunks,
+        n_jobs,
+        multiprocessing.get_context("fork"),
+        supervise if supervise is not None else _NO_DEADLINE,
+        _record,
+        progress,
+        total,
+        cancel,
+    )
     return out
-
-
-def _run_pool(
-    chunks: list,
-    n_jobs: int,
-    ctx,
-    record: Callable[[int, RunResult, Any, float], None],
-    progress: ProgressFn | None,
-    total: int,
-    cancel: Callable[[], bool] | None,
-) -> None:
-    """Unsupervised parallel dispatch: fail fast, but land every finisher.
-
-    A worker exception stops new submissions immediately, yet the loop
-    keeps consuming already-dispatched futures so each completed chunk
-    still flows through ``record`` (and hence ``on_result``) before the
-    first failure is re-raised — a mid-batch error no longer discards the
-    wall times of runs that did finish.
-    """
-    failure: BaseException | None = None
-    with ProcessPoolExecutor(max_workers=n_jobs, mp_context=ctx) as pool:
-        # With a cancel hook, keep at most one queued chunk per worker so
-        # cancellation takes effect within roughly a chunk's latency; the
-        # hook-free path submits everything up front as before.
-        backlog = list(reversed(chunks))
-        window = 2 * n_jobs if cancel is not None else len(chunks)
-        pending: set = set()
-
-        def _refill() -> None:
-            while backlog and len(pending) < window:
-                if cancel is not None and cancel():
-                    backlog.clear()
-                    break
-                pending.add(pool.submit(_execute_chunk, backlog.pop()))
-
-        _refill()
-        done_count = 0
-        while pending:
-            finished, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for future in finished:
-                try:
-                    rows = future.result()
-                except Exception as exc:
-                    if failure is None:
-                        failure = exc
-                    backlog.clear()
-                    continue
-                for index, result, aux, wall_s in rows:
-                    record(index, result, aux, wall_s)
-                    done_count += 1
-                _notify(progress, done_count, total)
-            _refill()
-    if failure is not None:
-        raise failure
 
 
 def _run_supervised(
@@ -549,15 +489,16 @@ def _run_supervised(
     total: int,
     cancel: Callable[[], bool] | None,
 ) -> None:
-    """Supervised parallel dispatch: survive worker death and hangs.
+    """The parallel dispatch loop: survive worker death and hangs.
 
-    Phase 1 runs the normal chunked pool, but with the submission window
-    clamped to ``n_jobs`` (submitted == executing, so a chunk's deadline
-    clock only runs while a worker actually holds it) and a deadline per
-    in-flight chunk of ``len(chunk) × timeout_for(observed walls)``. A
+    Phase 1 runs the chunked pool with the submission window clamped to
+    ``n_jobs`` (submitted == executing, so a chunk's deadline clock only
+    runs while a worker actually holds it) and a deadline per in-flight
+    chunk of ``len(chunk) × timeout_for(observed walls)``. A
     ``BrokenProcessPool`` or an expired deadline ends phase 1: completed
     futures are harvested, hung workers are SIGKILLed, and the surviving
-    results keep their landed state.
+    results keep their landed state. While no finite deadline is pending
+    the loop blocks until a chunk finishes instead of polling.
 
     Phase 2 re-executes each unfinished spec *one at a time* in a fresh
     single-worker pool, so a crash or timeout attributes to exactly that
@@ -566,7 +507,8 @@ def _run_supervised(
     index (the unattributable phase-1 failure is charged to no spec).
     Deterministic exceptions raised *by* a spec propagate as themselves,
     unretried — supervision covers the execution substrate, not the
-    simulation's own contract.
+    simulation's own contract. Such an exception stops new dispatches;
+    the chunks already running finish and land before it is re-raised.
     """
     task_by_index = {task[0]: task for chunk in chunks for task in chunk}
     unfinished = set(task_by_index)
@@ -582,7 +524,8 @@ def _run_supervised(
             walls.append(wall_s)
             unfinished.discard(index)
             done_count += 1
-        _notify(progress, done_count, total)
+        if progress is not None:
+            progress(done_count, total)
 
     with ProcessPoolExecutor(max_workers=n_jobs, mp_context=ctx) as pool:
         backlog = list(reversed(chunks))
@@ -599,7 +542,8 @@ def _run_supervised(
 
         _refill()
         while pending:
-            finished, _ = wait(set(pending), timeout=sup.poll_s, return_when=FIRST_COMPLETED)
+            poll = sup.poll_s if math.isfinite(min(pending.values())) else None
+            finished, _ = wait(set(pending), timeout=poll, return_when=FIRST_COMPLETED)
             for future in finished:
                 pending.pop(future, None)
                 try:
@@ -638,17 +582,15 @@ def _run_supervised(
     if not (crashed or timed_out):
         return  # everything landed (or cancel() stopped submissions)
 
-    kind = "worker crash" if crashed else "worker timeout"
-    _notify(
-        progress,
-        done_count,
-        total,
-        f"{kind} detected: isolating {len(unfinished)} unfinished spec(s)",
+    _log.warning(
+        "%s detected: isolating %d unfinished spec(s)",
+        "worker crash" if crashed else "worker timeout",
+        len(unfinished),
     )
 
     for index in sorted(unfinished):
         if cancel is not None and cancel():
-            break  # remaining specs stay None, same as an unsupervised cancel
+            break  # remaining specs stay None, as after a phase-1 cancel
         task = task_by_index[index]
         attempt = 0
         while True:
@@ -658,7 +600,9 @@ def _run_supervised(
             outcome: str | None = None
             try:
                 future = pool.submit(_execute_chunk, [task])
-                done_set, _ = wait({future}, timeout=timeout_s)
+                # ``wait`` overflows on an infinite timeout: block instead.
+                budget = timeout_s if math.isfinite(timeout_s) else None
+                done_set, _ = wait({future}, timeout=budget)
                 if not done_set:
                     _kill_pool_workers(pool)
                     outcome = "timeout"

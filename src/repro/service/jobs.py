@@ -206,14 +206,12 @@ class SimulationService:
         :meth:`~repro.experiments.base.SimulationSpec.spec_hash`) from
         the store instead of re-running. Per-request ``no_cache``
         overrides.
-    supervise:
-        Worker-supervision policy for parallel batches (see
-        :class:`~repro.parallel.SupervisionConfig`). ``None`` builds one
-        from ``max_attempts``; supervision is inert when ``jobs=1``.
     max_attempts:
         Executions a spec may be charged before it is quarantined —
-        both by the supervised pool (isolation retries) and by the
-        restart-recovery pass (store-level ``attempts``).
+        both by the supervised pool (isolation retries, with the
+        :class:`~repro.parallel.SupervisionConfig` deadline defaults;
+        inert when ``jobs=1``) and by the restart-recovery pass
+        (store-level ``attempts``).
     rate_limit:
         Optional per-tenant token-bucket config
         (:class:`~repro.service.ratelimit.RateLimitConfig`); ``None``
@@ -233,7 +231,6 @@ class SimulationService:
         jobs: int | None = 1,
         batch_size: int | None = None,
         cache: bool = True,
-        supervise: SupervisionConfig | None = None,
         max_attempts: int = 3,
         rate_limit: RateLimitConfig | None = None,
         max_in_flight: int | None = None,
@@ -249,9 +246,7 @@ class SimulationService:
         self.batch_size = batch_size if batch_size is not None else max(4, jobs or 1)
         self.cache_enabled = cache
         self.max_attempts = max_attempts
-        self.supervise = (
-            supervise if supervise is not None else SupervisionConfig(max_attempts=max_attempts)
-        )
+        self.supervise = SupervisionConfig(max_attempts=max_attempts)
         self.max_in_flight = max_in_flight
         self.lease_s = float(lease_s) if lease_s is not None else self.supervise.timeout_ceiling_s
         self.limiter = None if rate_limit is None else RateLimiter(rate_limit)
