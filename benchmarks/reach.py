@@ -15,6 +15,9 @@ The drivers:
   ``--jobs 1``. Forked workers exit through ``os._exit``, which skips
   the recorder's ``atexit`` dump, so a simulation only counts when it
   runs in the parent process;
+* one ``ablations --scale 0.1`` run: at the smoke scale of ``all`` the
+  estimator ablation's runs end before their first sample, so its EWMA
+  estimator would read as dead;
 * one ``fig2 --jobs 2`` run, so that the parallel dispatch loop of
   ``repro.parallel.run_many`` is reached in the parent (its workers'
   calls go unrecorded, as above);
@@ -79,6 +82,7 @@ def drivers(scratch: str) -> list[tuple[str, list[str]]]:
         ("all + csv", [*cli, "all", "--scale", "0.02", "--jobs", "1",
                        "--csv", os.path.join(scratch, "csv")]),
         ("validate", [*cli, "validate", "--scale", "0.02", "--jobs", "1"]),
+        ("ablations", [*cli, "ablations", "--scale", "0.1", "--jobs", "1"]),
         ("fig2 audit+profile", [*cli, "fig2", "--set", "A", "--apps", "CG",
                                 "--scale", "0.05", "--jobs", "1", "--audit", "--profile"]),
         ("fig2 parallel", [*cli, "fig2", "--set", "A", "--apps", "CG",

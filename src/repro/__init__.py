@@ -58,9 +58,7 @@ from .core.policies import (
     BandwidthPolicy,
     EwmaPolicy,
     LatestQuantumPolicy,
-    OraclePolicy,
     QuantaWindowPolicy,
-    RandomGangPolicy,
 )
 from .core.policies_model import ModelDrivenPolicy
 from .errors import (
@@ -93,8 +91,6 @@ __all__ = [
     "LatestQuantumPolicy",
     "QuantaWindowPolicy",
     "EwmaPolicy",
-    "OraclePolicy",
-    "RandomGangPolicy",
     "ModelDrivenPolicy",
     "ContentionModel",
     "CpuManager",

@@ -14,11 +14,10 @@ regressions from refactors land, while holding the estimator inputs fixed.
 Tie-breaking matches the paper's list traversal: the first job attaining
 the maximal fitness in circular-list order wins each round.
 
-Policies whose selection is legitimately different from the greedy
-algorithm — the whole-set optimizer of
-:mod:`repro.core.policies_model` (stateful deficit weights) and the
-randomized gang baseline (consumes the policy RNG) — declare
-``oracle_replayable = False`` and receive structural checks only.
+A policy whose selection is legitimately different from the greedy
+algorithm — the whole-set optimizer of :mod:`repro.core.policies_model`
+(stateful deficit weights) — declares ``oracle_replayable = False`` and
+receives structural checks only.
 """
 
 from __future__ import annotations

@@ -538,10 +538,11 @@ def _run_serve(args: argparse.Namespace) -> None:
         max_in_flight=args.max_in_flight,
     ).start()
     stats = service.stats()
-    if stats.recovered_requeued or stats.recovered_quarantined:
+    if stats.recovered_requeued or stats.recovered_quarantined or stats.recovered_failed:
         print(
             f"[repro serve] recovery: re-enqueued {stats.recovered_requeued} "
-            f"orphaned run(s), quarantined {stats.recovered_quarantined}",
+            f"orphaned run(s), quarantined {stats.recovered_quarantined}, "
+            f"failed {stats.recovered_failed} whose spec no longer validates",
             file=sys.stderr,
         )
     server = serve(service, host=args.host, port=args.port)

@@ -8,7 +8,7 @@
 * :mod:`repro.core.signals` — the block/unblock signal protocol with the
   paper's inversion-protection counters.
 * :mod:`repro.core.policies` — the Latest Quantum and Quanta Window
-  policies (plus the EWMA extension and an oracle for ablations).
+  policies (plus the EWMA extension the estimator ablation runs).
 * :mod:`repro.core.manager` — the user-level CPU manager event loop that
   ties it all together on top of the kernel scheduler.
 """
@@ -21,9 +21,7 @@ from .policies import (
     BandwidthPolicy,
     EwmaPolicy,
     LatestQuantumPolicy,
-    OraclePolicy,
     QuantaWindowPolicy,
-    RandomGangPolicy,
 )
 from .policies_model import ModelDrivenPolicy
 from .signals import SignalDispatcher
@@ -38,8 +36,6 @@ __all__ = [
     "LatestQuantumPolicy",
     "QuantaWindowPolicy",
     "EwmaPolicy",
-    "OraclePolicy",
-    "RandomGangPolicy",
     "ModelDrivenPolicy",
     "ContentionModel",
     "GangPrediction",

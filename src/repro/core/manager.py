@@ -182,13 +182,12 @@ class CpuManager:
 
     # ------------------------------------------------------------------ wiring
 
-    def attach(self, machine: "Machine", engine: Engine, rng: np.random.Generator) -> None:
+    def attach(self, machine: "Machine", engine: Engine) -> None:
         """Bind to the machine/engine and wire the signal path to the kernel."""
         if self._machine is not None:
             raise SchedulingError("CPU manager already attached")
         self._machine = machine
         self._engine = engine
-        self.policy.bind_rng(rng)
         fault_kwargs = {}
         if self._faults is not None and self._faults.plan.any_signal_faults:
             fault_kwargs = self._faults.signal_params()
@@ -528,7 +527,6 @@ class CpuManager:
             JobView(
                 app_id=d.app_id,
                 width=int(np.count_nonzero(~finished_col[self._app_rows(d)[0]])),
-                name=d.name.rsplit("#", 1)[0],
             )
             for d in self.arena.connected()
         ]

@@ -13,8 +13,7 @@ saturation).
 The predictor deliberately re-derives the equations instead of importing
 :mod:`repro.hw.bus`: a real deployment would fit these parameters from
 counter measurements, not read them out of the simulator. The default
-constants match the paper platform's calibration; the `fit` helper
-estimates the streaming ceiling from observations.
+constants match the paper platform's calibration.
 
 Used by :class:`repro.core.policies_model.ModelDrivenPolicy`.
 """
@@ -141,27 +140,3 @@ class ContentionModel:
     def predict_progress(self, rates: Sequence[float]) -> float:
         """Shortcut: only the progress objective."""
         return self.predict(rates).progress
-
-    # -- empirical fitting ---------------------------------------------------------
-
-    @classmethod
-    def fit(
-        cls,
-        saturated_total_txus: float,
-        streaming_solo_txus: float,
-        **kwargs,
-    ) -> "ContentionModel":
-        """Build a model from two field measurements.
-
-        ``saturated_total_txus`` — the plateau the counters show when the
-        machine is clearly overcommitted (what STREAM measures);
-        ``streaming_solo_txus`` — the highest per-thread rate ever
-        observed (a streaming job running alone). These are exactly the
-        quantities a deployed CPU manager can obtain from its own arena
-        history, making the model self-calibrating.
-        """
-        return cls(
-            capacity_txus=saturated_total_txus,
-            streaming_rate_txus=streaming_solo_txus,
-            **kwargs,
-        )

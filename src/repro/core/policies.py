@@ -27,29 +27,21 @@ The selection algorithm, per quantum:
 Under saturation ABBW/proc goes negative and the lowest-BBW job becomes the
 fittest — the graceful degradation the paper highlights.
 
-Extensions provided for ablations and the paper's future-work directions:
+One extension, from the paper's future-work directions, is run by the
+estimator ablation (ABL-W):
 
 * :class:`EwmaPolicy` — exponentially-weighted estimate (the paper's
   suggested technique for wider windows).
-* :class:`OraclePolicy` — uses the workload's true mean rates; upper bound
-  on what better estimation could buy.
-* :class:`RandomGangPolicy` — keeps the gang structure and the
-  no-starvation head rule but picks the rest uniformly at random;
-  isolates the value of bandwidth-aware selection from gang-ness.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from ..errors import SchedulingError
 from .fitness import FitnessFn, paper_fitness
 from .window import EwmaEstimator, MovingWindow
-
-if TYPE_CHECKING:  # pragma: no cover
-    import numpy as np
 
 __all__ = [
     "JobView",
@@ -58,8 +50,6 @@ __all__ = [
     "LatestQuantumPolicy",
     "QuantaWindowPolicy",
     "EwmaPolicy",
-    "OraclePolicy",
-    "RandomGangPolicy",
     "head_first_selection",
 ]
 
@@ -74,14 +64,10 @@ class JobView:
         Application instance id.
     width:
         Processors needed (list of live threads; gang all-or-nothing).
-    name:
-        Base application name (instance tag stripped); lets oracle-style
-        policies look up per-application ground truth.
     """
 
     app_id: int
     width: int
-    name: str = ""
 
 
 @dataclass(frozen=True)
@@ -151,7 +137,7 @@ class BandwidthPolicy(ABC):
 
     #: Whether the audit oracle can replay this policy's selection from
     #: (jobs, estimates, fitness) alone. Subclasses whose ``select`` is
-    #: stateful or randomised must set this False.
+    #: stateful must set this False.
     oracle_replayable: bool = True
 
     def __init__(
@@ -166,13 +152,8 @@ class BandwidthPolicy(ABC):
         self.bus_capacity_txus = bus_capacity_txus
         self._fitness_fn = fitness_fn
         self._fitness_scale = fitness_scale
-        self._rng: np.random.Generator | None = None
         self.incremental = incremental
         self._selection_calls = 0
-
-    def bind_rng(self, rng: np.random.Generator) -> None:
-        """Provide the policy's random stream (used by randomized variants)."""
-        self._rng = rng
 
     def fitness(self, abbw_per_proc: float, bbw_per_thread: float) -> float:
         """Score a candidate (Equation 1 unless overridden)."""
@@ -420,51 +401,3 @@ class EwmaPolicy(BandwidthPolicy):
 
     def forget(self, app_id: int) -> None:
         self._estimates.pop(app_id, None)
-
-
-class OraclePolicy(BandwidthPolicy):
-    """Uses the workload's *true* mean per-thread rates (ablation upper bound).
-
-    Parameters
-    ----------
-    true_rates:
-        Mapping application *name* → true mean per-thread tx/µs.
-    """
-
-    name = "oracle"
-
-    def __init__(self, true_rates: dict[str, float], **kwargs) -> None:
-        super().__init__(**kwargs)
-        self._true = dict(true_rates)
-        self._names: dict[int, str] = {}
-
-    def estimate(self, app_id: int) -> float | None:
-        name = self._names.get(app_id)
-        return self._true.get(name) if name is not None else None
-
-    def select(self, jobs, n_cpus):
-        for job in jobs:
-            self._names[job.app_id] = job.name
-        return super().select(jobs, n_cpus)
-
-    def forget(self, app_id: int) -> None:
-        self._names.pop(app_id, None)
-        super().forget(app_id)
-
-
-class RandomGangPolicy(BandwidthPolicy):
-    """Gang structure + head rule, but random fills (ablation baseline)."""
-
-    name = "random-gang"
-
-    #: Scores consume the rng stream — replaying them would perturb it.
-    oracle_replayable = False
-
-    def estimate(self, app_id: int) -> float | None:
-        return None
-
-    def fitness(self, abbw_per_proc: float, bbw_per_thread: float) -> float:
-        """One uniform draw per eligible candidate; ignores both arguments."""
-        if self._rng is None:
-            raise SchedulingError("RandomGangPolicy needs bind_rng() before selection")
-        return float(self._rng.random())

@@ -51,7 +51,8 @@ class ModelDrivenPolicy(QuantaWindowPolicy):
     ----------
     model:
         The contention model (defaults to the paper-platform calibration;
-        a deployment would use :meth:`ContentionModel.fit`).
+        a deployment would pass the saturated bus plateau and the
+        streaming ceiling its own counters measure).
     window_length:
         Estimator window (inherited Quanta Window machinery).
     idle_penalty:

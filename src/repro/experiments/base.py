@@ -3,9 +3,8 @@
 Everything the figure harnesses need reduces to one call:
 :func:`run_simulation` builds a machine, launches target and background
 applications, installs the requested scheduler stack (dedicated / Linux /
-round-robin gang / a bandwidth policy on top of Linux), runs until every
-*target* instance completes, and collects a
-:class:`~repro.metrics.accounting.RunResult`.
+a bandwidth policy on top of Linux), runs until every *target* instance
+completes, and collects a :class:`~repro.metrics.accounting.RunResult`.
 
 Background applications (the paper's microbenchmarks) have effectively
 unbounded work; the run stops on target completion, matching the paper's
@@ -35,9 +34,8 @@ from ..hw.machine import Machine
 from ..metrics.accounting import RunResult, collect_run_result
 from ..metrics.timeline import TimelineSampler
 from ..rng import RngRegistry
-from ..sched.base import KernelScheduler, jobs_from_apps
+from ..sched.base import KernelScheduler
 from ..sched.dedicated import DedicatedScheduler
-from ..sched.gang import RoundRobinGangScheduler
 from ..sched.linux import LinuxScheduler
 from ..sched.linux_o1 import LinuxO1Scheduler
 from ..sim.engine import Engine
@@ -61,7 +59,7 @@ class SimulationSpec:
         Microbenchmark instances running for the whole measurement.
     scheduler:
         ``"dedicated"``, ``"linux"`` (the 2.4-like baseline), ``"linux26"``
-        (the O(1) scheduler), ``"gang"``, or a
+        (the O(1) scheduler), or a
         :class:`~repro.core.policies.BandwidthPolicy` instance (which runs
         inside a CPU manager on top of a kernel scheduler — pick it with
         ``kernel``). Each run works on a deep copy of the policy, so the
@@ -96,7 +94,7 @@ class SimulationSpec:
         connections at any time) supports. Arriving jobs count as targets
         (the run ends when every target, static or arrived, completes).
         Supported with the ``"linux"`` scheduler and with policies; the
-        static ``"dedicated"``/``"gang"`` schedulers reject arrivals.
+        static ``"dedicated"`` scheduler rejects arrivals.
     profile:
         Activate wall-clock phase timers for this run and attach the
         per-phase snapshot to ``RunResult.profile`` (see
@@ -206,7 +204,7 @@ def _make_kernel(name: str, spec: "SimulationSpec") -> KernelScheduler:
 def _build(spec: SimulationSpec) -> SimulationHandle:
     if not spec.targets and not spec.arrivals and spec.dynamic is None:
         raise ConfigError("a simulation needs at least one target application")
-    if (spec.arrivals or spec.dynamic is not None) and spec.scheduler in ("dedicated", "gang"):
+    if (spec.arrivals or spec.dynamic is not None) and spec.scheduler == "dedicated":
         raise ConfigError(
             f"dynamic arrivals need a time-sharing scheduler; "
             f"{spec.scheduler!r} has a static job set"
@@ -273,14 +271,12 @@ def _build(spec: SimulationSpec) -> SimulationHandle:
         kernel = LinuxO1Scheduler()
     elif spec.scheduler == "dedicated":
         kernel = DedicatedScheduler(spec.dedicated_migration_interval_us)
-    elif spec.scheduler == "gang":
-        kernel = RoundRobinGangScheduler(jobs_from_apps(apps), spec.manager.quantum_us)
     else:
         raise ConfigError(f"unknown scheduler {spec.scheduler!r}")
 
     kernel.attach(machine, engine, registry.stream("kernel"))
     if manager is not None:
-        manager.attach(machine, engine, registry.stream("manager"))
+        manager.attach(machine, engine)
         manager.register_apps(apps)
 
     if injector is not None:

@@ -26,9 +26,10 @@ Worker processes are forked, so the cheap platform check
 the caller.
 
 The parallel path is one supervised dispatch loop: a worker that dies
-mid-batch does not abort the batch; its unfinished specs re-run one at a
-time in isolation (see :class:`SupervisionConfig`). Callers that pass no
-config get crash isolation with no wall-clock deadline.
+mid-batch does not abort the batch; the specs in flight with it re-run
+one at a time in isolation, and the rest of the batch goes on through a
+fresh pool (see :class:`SupervisionConfig`). Callers that pass no config
+get crash isolation with no wall-clock deadline.
 
 Usage::
 
@@ -197,11 +198,13 @@ class SupervisionConfig:
     (``BrokenProcessPool`` — e.g. an OOM kill or an external SIGKILL) or a
     worker exceeding its wall-clock budget does not abort the whole
     batch: the supervisor harvests every already-completed run, then
-    re-executes the unfinished specs one at a time in *isolation* (a fresh
-    single-worker pool per attempt) with bounded exponential-backoff
-    retries. Because simulations are deterministic functions of their
-    spec, a retry re-executes the identical run — a result produced on
-    attempt three is bit-identical to a first-try result. A spec that
+    re-executes the specs that were in flight one at a time in
+    *isolation* (a fresh single-worker pool per attempt) with bounded
+    exponential-backoff retries, and sends the specs never dispatched
+    back through a fresh ``n_jobs`` pool. Because simulations are
+    deterministic functions of their spec, a retry re-executes the
+    identical run — a result produced on attempt three is bit-identical
+    to a first-try result. A spec that
     keeps crashing (or hanging) its isolation worker raises a typed
     :class:`~repro.errors.WorkerCrashError` /
     :class:`~repro.errors.RunTimeoutError` carrying the spec index and
@@ -222,9 +225,9 @@ class SupervisionConfig:
     ----------
     max_attempts:
         Isolation executions per spec before the typed error is raised.
-        The phase-1 batch execution that *detects* a failure is not
-        charged to any spec (a broken pool cannot name its killer);
-        attempts count attributable isolation runs only.
+        The pool execution that *detects* a failure is not charged to
+        any spec (a broken pool cannot name its killer); attempts count
+        attributable isolation runs only.
     timeout_floor_s / timeout_ceiling_s:
         Clamp on the derived per-spec timeout, seconds.
     timeout_factor:
@@ -418,9 +421,10 @@ def run_many(
         The :class:`SupervisionConfig` of the parallel path. Every
         parallel run is supervised: worker death (and, with finite
         timeouts, a spec over its wall-clock budget) is survived,
-        completed runs are harvested, unfinished specs re-run one at a
-        time in isolation with bounded retries, and a spec that keeps
-        failing raises :class:`~repro.errors.WorkerCrashError` or
+        completed runs are harvested, the specs in flight re-run one at
+        a time in isolation with bounded retries, the undispatched rest
+        goes through a fresh pool, and a spec that keeps failing raises
+        :class:`~repro.errors.WorkerCrashError` or
         :class:`~repro.errors.RunTimeoutError` carrying its index and
         attempt count. ``None`` isolates crashes but sets no deadline.
         Inert on the serial path — an in-process run cannot be
@@ -491,107 +495,110 @@ def _run_supervised(
 ) -> None:
     """The parallel dispatch loop: survive worker death and hangs.
 
-    Phase 1 runs the chunked pool with the submission window clamped to
+    Each pass runs the chunked pool with the submission window clamped to
     ``n_jobs`` (submitted == executing, so a chunk's deadline clock only
     runs while a worker actually holds it) and a deadline per in-flight
     chunk of ``len(chunk) × timeout_for(observed walls)``. A
-    ``BrokenProcessPool`` or an expired deadline ends phase 1: completed
+    ``BrokenProcessPool`` or an expired deadline ends the pass: completed
     futures are harvested, hung workers are SIGKILLed, and the surviving
     results keep their landed state. While no finite deadline is pending
     the loop blocks until a chunk finishes instead of polling.
 
-    Phase 2 re-executes each unfinished spec *one at a time* in a fresh
+    Only the specs whose chunk was in flight when the pass ended can have
+    caused it. Each of them re-executes *one at a time* in a fresh
     single-worker pool, so a crash or timeout attributes to exactly that
     spec. Each isolation run counts as one attempt; after
     ``sup.max_attempts`` failures the typed error is raised with the spec
-    index (the unattributable phase-1 failure is charged to no spec).
-    Deterministic exceptions raised *by* a spec propagate as themselves,
-    unretried — supervision covers the execution substrate, not the
-    simulation's own contract. Such an exception stops new dispatches;
-    the chunks already running finish and land before it is re-raised.
+    index (the unattributable pool failure is charged to no spec). The
+    chunks never dispatched then go back through a fresh ``n_jobs`` pool
+    in the next pass, so one crash costs the rest of the batch no
+    parallelism. Deterministic exceptions raised *by* a spec propagate as
+    themselves, unretried — supervision covers the execution substrate,
+    not the simulation's own contract. Such an exception stops new
+    dispatches; the chunks already running finish and land before it is
+    re-raised.
     """
-    task_by_index = {task[0]: task for chunk in chunks for task in chunk}
-    unfinished = set(task_by_index)
     walls: list[float] = []
     done_count = 0
     failure: BaseException | None = None
-    crashed = timed_out = False
+    backlog = list(reversed(chunks))
 
     def _land(rows) -> None:
         nonlocal done_count
         for index, result, aux, wall_s in rows:
             record(index, result, aux, wall_s)
             walls.append(wall_s)
-            unfinished.discard(index)
             done_count += 1
         if progress is not None:
             progress(done_count, total)
 
-    with ProcessPoolExecutor(max_workers=n_jobs, mp_context=ctx) as pool:
-        backlog = list(reversed(chunks))
-        pending: dict = {}  # future -> deadline (monotonic seconds)
+    def _pool_pass() -> tuple[str | None, list]:
+        """Dispatch the backlog through one pool until it drains or breaks.
 
-        def _refill() -> None:
-            while backlog and len(pending) < n_jobs:
-                if cancel is not None and cancel():
-                    backlog.clear()
-                    break
-                next_chunk = backlog.pop()
-                deadline = time.monotonic() + len(next_chunk) * sup.timeout_for(walls)
-                pending[pool.submit(_execute_chunk, next_chunk)] = deadline
+        Returns the fault that ended the pass (``"crash"``, ``"timeout"``
+        or ``None``) and the tasks of the chunks in flight at that moment.
+        """
+        nonlocal failure
+        fault: str | None = None
+        in_flight: list = []
+        with ProcessPoolExecutor(max_workers=n_jobs, mp_context=ctx) as pool:
+            pending: dict = {}  # future -> (deadline in monotonic seconds, chunk)
 
-        _refill()
-        while pending:
-            poll = sup.poll_s if math.isfinite(min(pending.values())) else None
-            finished, _ = wait(set(pending), timeout=poll, return_when=FIRST_COMPLETED)
-            for future in finished:
-                pending.pop(future, None)
-                try:
-                    rows = future.result()
-                except BrokenProcessPool:
-                    crashed = True
-                    continue
-                except Exception as exc:
-                    # The spec's own deterministic failure: no retry. Stop
-                    # submitting, drain what is already running, re-raise.
-                    if failure is None:
-                        failure = exc
-                    backlog.clear()
-                    continue
-                _land(rows)
-            if crashed:
-                break
-            if not finished and pending and min(pending.values()) <= time.monotonic():
-                timed_out = True
-                _kill_pool_workers(pool)
-                break
+            def _refill() -> None:
+                while backlog and len(pending) < n_jobs:
+                    if cancel is not None and cancel():
+                        backlog.clear()
+                        break
+                    chunk = backlog.pop()
+                    deadline = time.monotonic() + len(chunk) * sup.timeout_for(walls)
+                    pending[pool.submit(_execute_chunk, chunk)] = (deadline, chunk)
+
+            def _nearest_deadline() -> float:
+                return min(deadline for deadline, _ in pending.values())
+
             _refill()
+            while pending:
+                poll = sup.poll_s if math.isfinite(_nearest_deadline()) else None
+                finished, _ = wait(set(pending), timeout=poll, return_when=FIRST_COMPLETED)
+                for future in finished:
+                    _, chunk = pending.pop(future)
+                    try:
+                        rows = future.result()
+                    except BrokenProcessPool:
+                        fault = "crash"
+                        in_flight.append(chunk)
+                        continue
+                    except Exception as exc:
+                        # The spec's own deterministic failure: no retry. Stop
+                        # submitting, drain what is already running, re-raise.
+                        if failure is None:
+                            failure = exc
+                        backlog.clear()
+                        continue
+                    _land(rows)
+                if fault is not None:
+                    break
+                if not finished and pending and _nearest_deadline() <= time.monotonic():
+                    fault = "timeout"
+                    _kill_pool_workers(pool)
+                    break
+                _refill()
 
-        # Harvest stragglers that finished before the pool broke; the rest
-        # hold BrokenProcessPool and are swallowed here (phase 2 owns them).
-        for future in list(pending):
-            if future.done():
-                try:
-                    _land(future.result())
-                except Exception:
-                    pass
-        pool.shutdown(wait=True, cancel_futures=True)
+            # Harvest stragglers that finished before the pool broke; the
+            # rest were in flight with the fault and go to isolation.
+            for future, (_, chunk) in pending.items():
+                if future.done():
+                    try:
+                        _land(future.result())
+                        continue
+                    except Exception:
+                        pass
+                in_flight.append(chunk)
+            pool.shutdown(wait=True, cancel_futures=True)
+        return fault, [task for chunk in in_flight for task in chunk]
 
-    if failure is not None:
-        raise failure
-    if not (crashed or timed_out):
-        return  # everything landed (or cancel() stopped submissions)
-
-    _log.warning(
-        "%s detected: isolating %d unfinished spec(s)",
-        "worker crash" if crashed else "worker timeout",
-        len(unfinished),
-    )
-
-    for index in sorted(unfinished):
-        if cancel is not None and cancel():
-            break  # remaining specs stay None, as after a phase-1 cancel
-        task = task_by_index[index]
+    def _isolate(task) -> None:
+        index = task[0]
         attempt = 0
         while True:
             attempt += 1
@@ -614,9 +621,30 @@ def _run_supervised(
             finally:
                 pool.shutdown(wait=True, cancel_futures=True)
             if outcome is None:
-                break
+                return
             if attempt >= sup.max_attempts:
                 if outcome == "timeout":
                     raise RunTimeoutError(index, attempt, timeout_s)
                 raise WorkerCrashError(index, attempt)
             time.sleep(sup.backoff_for(attempt))
+
+    while backlog:
+        fault, suspects = _pool_pass()
+        if failure is not None:
+            raise failure
+        if fault is None:
+            return  # everything landed (or cancel() stopped submissions)
+        suspects.sort(key=lambda task: task[0])
+        _log.warning(
+            "worker %s detected: isolating %d in-flight spec(s) %s; "
+            "%d undispatched spec(s) go back to a fresh %d-worker pool",
+            fault,
+            len(suspects),
+            [task[0] for task in suspects],
+            sum(len(chunk) for chunk in backlog),
+            n_jobs,
+        )
+        for task in suspects:
+            if cancel is not None and cancel():
+                return  # remaining specs stay None, as after a pool-pass cancel
+            _isolate(task)

@@ -6,23 +6,19 @@
 * :mod:`repro.sched.linux` — a Linux 2.4-like O(n) epoch scheduler with
   dynamic priorities and cache-affinity goodness bonus: the paper's
   baseline, and the substrate the user-level CPU manager runs on top of.
-* :mod:`repro.sched.gang` — a plain round-robin gang scheduler (extra
-  baseline: gang structure without bandwidth awareness).
+* :mod:`repro.sched.linux_o1` — a Linux 2.6 O(1)-style scheduler (the
+  ``"linux26"`` baseline and alternative manager substrate).
 """
 
-from .base import Job, KernelScheduler, jobs_from_apps
+from .base import KernelScheduler
 from .dedicated import DedicatedScheduler
-from .gang import RoundRobinGangScheduler
 from .linux import LinuxScheduler
 from .linux_o1 import LinuxO1Scheduler, O1SchedConfig
 
 __all__ = [
-    "Job",
     "KernelScheduler",
-    "jobs_from_apps",
     "DedicatedScheduler",
     "LinuxScheduler",
     "LinuxO1Scheduler",
     "O1SchedConfig",
-    "RoundRobinGangScheduler",
 ]

@@ -12,18 +12,12 @@ life cycle:
 Schedulers never manipulate CPUs directly; all placement goes through
 :meth:`repro.hw.machine.Machine.dispatch`, which enforces placement
 invariants (no blocked/finished threads, one CPU per thread).
-
-The :class:`Job` record groups an application instance's threads for
-gang-aware schedulers; :func:`jobs_from_apps` builds the list the paper's
-CPU manager keeps ("a descriptor for each new application ... to a doubly
-linked circular list").
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -32,38 +26,8 @@ from ..sim.engine import Engine
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..hw.machine import Machine, ThreadState
-    from ..workloads.base import Application
 
-__all__ = ["Job", "KernelScheduler", "jobs_from_apps"]
-
-
-@dataclass
-class Job:
-    """A gang-schedulable unit: all threads of one application instance.
-
-    Attributes
-    ----------
-    app_id:
-        The application instance id.
-    name:
-        Human-readable instance name.
-    tids:
-        Thread ids belonging to the instance.
-    """
-
-    app_id: int
-    name: str
-    tids: list[int]
-
-    @property
-    def width(self) -> int:
-        """Processors the job needs (gang policies allocate all or none)."""
-        return len(self.tids)
-
-
-def jobs_from_apps(apps: Iterable["Application"]) -> list[Job]:
-    """Build gang job records from application instances."""
-    return [Job(app_id=a.app_id, name=f"{a.name}#{a.app_id}", tids=list(a.tids)) for a in apps]
+__all__ = ["KernelScheduler"]
 
 
 class KernelScheduler(ABC):

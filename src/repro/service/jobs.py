@@ -39,6 +39,7 @@ import traceback
 from collections import deque
 from dataclasses import dataclass
 
+from ..codec import SpecValidationError
 from ..config import canonical_json
 from ..errors import ExecutionError, ReproError
 from ..experiments.base import SimulationSpec
@@ -267,6 +268,7 @@ class SimulationService:
         self._cache_hits = 0
         self._recovered_requeued = 0
         self._recovered_quarantined = 0
+        self._recovered_failed = 0
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -299,13 +301,18 @@ class SimulationService:
           service lives; the last error, if any, is preserved);
         * ``running`` with budget left → back to ``queued`` (attempts
           stay charged) and re-enqueued;
-        * ``queued`` with budget left → re-enqueued as-is.
+        * ``queued`` with budget left → re-enqueued as-is;
+        * a stored spec that no longer validates (say, it names a
+          scheduler this version removed) → ``failed`` with the
+          validation error's path and message, so one stale row cannot
+          keep the service from starting.
 
         Skipped entirely when this process already has live queue or
         in-flight state (an in-process restart — those rows have a live
-        owner). Returns and records ``{"requeued": n, "quarantined": n}``.
+        owner). Returns and records
+        ``{"requeued": n, "quarantined": n, "failed": n}``.
         """
-        summary = {"requeued": 0, "quarantined": 0}
+        summary = {"requeued": 0, "quarantined": 0, "failed": 0}
         if self.queue.depth > 0 or self._in_flight:
             return summary
         for record in self.store.pending_runs():
@@ -320,9 +327,16 @@ class SimulationService:
                 )
                 summary["quarantined"] += 1
                 continue
+            try:
+                spec = spec_from_dict(json.loads(self.store.get_spec_json(record.run_id)))
+            except SpecValidationError as exc:
+                self.store.mark_failed(
+                    record.run_id, f"stored spec no longer validates: {exc}"
+                )
+                summary["failed"] += 1
+                continue
             if record.status == "running":
                 self.store.requeue(record.run_id)
-            spec = spec_from_dict(json.loads(self.store.get_spec_json(record.run_id)))
             job = Job(
                 run_id=record.run_id,
                 tenant=record.tenant,
@@ -345,6 +359,7 @@ class SimulationService:
         with self._lock:
             self._recovered_requeued += summary["requeued"]
             self._recovered_quarantined += summary["quarantined"]
+            self._recovered_failed += summary["failed"]
         return summary
 
     def shutdown(self, drain: bool = True, timeout: float | None = None) -> bool:
@@ -499,6 +514,7 @@ class SimulationService:
                 quarantined_runs=self._quarantined,
                 recovered_requeued=self._recovered_requeued,
                 recovered_quarantined=self._recovered_quarantined,
+                recovered_failed=self._recovered_failed,
                 cache_lookups=self._cache_lookups,
                 cache_hits=self._cache_hits,
                 draining=not self._accepting,

@@ -67,9 +67,7 @@ from ..core.policies import (
     BandwidthPolicy,
     EwmaPolicy,
     LatestQuantumPolicy,
-    OraclePolicy,
     QuantaWindowPolicy,
-    RandomGangPolicy,
 )
 from ..core.policies_model import ModelDrivenPolicy
 from ..dynamic.arrivals import (
@@ -193,7 +191,7 @@ def job_mix_from_dict(payload: Any, path: str = "mix") -> JobMix:
 
 # --------------------------------------------------------------------------- schedulers
 
-_KERNEL_SCHEDULERS = ("linux", "linux26", "dedicated", "gang")
+_KERNEL_SCHEDULERS = ("linux", "linux26", "dedicated")
 
 #: policy name -> (class, the constructor fields it adds to the common ones)
 _POLICIES: dict[str, tuple[type, dict[str, Any]]] = {
@@ -210,8 +208,6 @@ _POLICIES: dict[str, tuple[type, dict[str, Any]]] = {
             "use_peak": bool,
         },
     ),
-    "random_gang": (RandomGangPolicy, {}),
-    "oracle": (OraclePolicy, {"true_rates": dict[str, float]}),
 }
 _POLICY_NAMES = {cls: name for name, (cls, _) in _POLICIES.items()}
 _COMMON_POLICY_FIELDS = {"bus_capacity_txus": float, "fitness_scale": float, "incremental": bool}
@@ -238,8 +234,6 @@ def scheduler_from_json(payload: Any, path: str = "scheduler") -> str | Bandwidt
     factory, extras = _POLICIES[name]
     fields = {**extras, **_COMMON_POLICY_FIELDS}
     reject_unknown(payload, ["policy", *fields], path)
-    if name == "oracle" and "true_rates" not in payload:
-        fail(path, "missing required field 'true_rates'")
     kwargs = {
         k: _CODEC.from_json(hint, payload[k], f"{path}.{k}")
         for k, hint in fields.items()
@@ -271,10 +265,7 @@ def scheduler_to_json(scheduler: str | BandwidthPolicy) -> str | dict[str, Any]:
         "fitness_scale": scheduler._fitness_scale,
         "incremental": scheduler.incremental,
     }
-    if name == "oracle":
-        out["true_rates"] = dict(sorted(scheduler._true.items()))
-    else:
-        out.update((k, getattr(scheduler, k)) for k in _POLICIES[name][1])
+    out.update((k, getattr(scheduler, k)) for k in _POLICIES[name][1])
     return out
 
 
@@ -350,7 +341,7 @@ def spec_from_dict(payload: Any, path: str = "spec") -> SimulationSpec:
     spec = build(SimulationSpec, kwargs, path)
     # Cross-field rules _build() would only hit at run time — check now so
     # the submitter gets a 400, not a failed run.
-    if (spec.arrivals or spec.dynamic is not None) and spec.scheduler in ("dedicated", "gang"):
+    if (spec.arrivals or spec.dynamic is not None) and spec.scheduler == "dedicated":
         fail(
             f"{path}.scheduler",
             f"dynamic arrivals need a time-sharing scheduler; "

@@ -46,9 +46,10 @@ class ServiceStats:
     executed_runs / failed_runs / quarantined_runs:
         Simulations actually run to completion / to an error / dead-
         lettered after exhausting their worker-crash attempt budget.
-    recovered_requeued / recovered_quarantined:
+    recovered_requeued / recovered_quarantined / recovered_failed:
         Restart-recovery dispositions of rows orphaned by previous
-        service processes on the same results dir.
+        service processes on the same results dir (``failed``: the
+        stored spec no longer validates).
     cache_lookups / cache_hits:
         Spec-hash cache traffic; ``cache_hit_rate`` derives from these.
     store_counts:
@@ -76,6 +77,7 @@ class ServiceStats:
     quarantined_runs: int = 0
     recovered_requeued: int = 0
     recovered_quarantined: int = 0
+    recovered_failed: int = 0
     cache_lookups: int = 0
     cache_hits: int = 0
     store_counts: dict[str, int] = field(default_factory=dict)
@@ -108,6 +110,7 @@ class ServiceStats:
                 "quarantined_runs": self.quarantined_runs,
                 "recovered_requeued": self.recovered_requeued,
                 "recovered_quarantined": self.recovered_quarantined,
+                "recovered_failed": self.recovered_failed,
                 "draining": self.draining,
             },
             "cache": {

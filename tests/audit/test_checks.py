@@ -48,7 +48,7 @@ def _setup(n_apps=3, quantum=20_000.0, work=500_000.0, strict=False, capacity=No
     cap = policy.bus_capacity_txus if capacity is None else capacity
     auditor = InvariantAuditor(machine, engine, bus_capacity_txus=cap, strict=strict)
     manager = CpuManager(ManagerConfig(quantum_us=quantum), policy, kernel, auditor=auditor)
-    manager.attach(machine, engine, np.random.default_rng(51))
+    manager.attach(machine, engine)
     manager.register_apps(apps)
     return engine, machine, apps, kernel, manager, auditor
 
@@ -65,7 +65,6 @@ def _jobs(manager):
         JobView(
             app_id=d.app_id,
             width=sum(1 for t in d.tids if not machine.thread(t).finished),
-            name=d.name.rsplit("#", 1)[0],
         )
         for d in manager.arena.connected()
     ]
@@ -349,7 +348,7 @@ class TestFaultInjectionAudit:
             auditor=auditor,
             faults=injector,
         )
-        manager.attach(machine, engine, np.random.default_rng(51))
+        manager.attach(machine, engine)
         manager.register_apps(apps)
         injector.schedule_app_faults(engine, machine, apps)
         kernel.start()

@@ -9,7 +9,6 @@ from repro.core.policies import (
     JobView,
     LatestQuantumPolicy,
     QuantaWindowPolicy,
-    RandomGangPolicy,
 )
 from repro.core.policies_model import ModelDrivenPolicy
 
@@ -94,14 +93,14 @@ class TestReplayMatchesPolicies:
             assert selection.app_ids == _replay(policy, jobs, 4)
 
     def test_non_replayable_policies_flagged(self):
-        assert RandomGangPolicy.oracle_replayable is False
         assert ModelDrivenPolicy.oracle_replayable is False
+        for cls in (LatestQuantumPolicy, QuantaWindowPolicy, EwmaPolicy):
+            assert cls.oracle_replayable is True
 
     def test_model_driven_legitimately_diverges(self):
         # The whole-set optimizer is *supposed* to disagree with the greedy
         # replay in some states; the flag is what keeps the audit honest.
         policy = ModelDrivenPolicy()
-        policy.bind_rng(np.random.default_rng(0))
         jobs = [JobView(1, 2), JobView(2, 2), JobView(3, 2)]
         for app_id, rate in ((1, 11.0), (2, 11.0), (3, 0.5)):
             for _ in range(5):

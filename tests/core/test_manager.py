@@ -33,7 +33,7 @@ def _setup(widths_rates, policy=None, quantum=20_000.0, work=200_000.0, n_cpus=4
     manager = CpuManager(
         ManagerConfig(quantum_us=quantum), policy or LatestQuantumPolicy(), kernel
     )
-    manager.attach(machine, engine, np.random.default_rng(51))
+    manager.attach(machine, engine)
     manager.register_apps(apps)
     return engine, machine, apps, kernel, manager
 
@@ -73,7 +73,7 @@ class TestLifecycle:
     def test_double_attach_rejected(self):
         engine, machine, apps, kernel, manager = _setup([(1, 1.0)])
         with pytest.raises(SchedulingError):
-            manager.attach(machine, engine, np.random.default_rng(0))
+            manager.attach(machine, engine)
 
 
 class TestGangBehaviour:

@@ -12,7 +12,7 @@ import pytest
 
 from repro.config import LinuxSchedConfig, MachineConfig, ManagerConfig
 from repro.core.manager import CpuManager
-from repro.core.policies import LatestQuantumPolicy, OraclePolicy
+from repro.core.policies import LatestQuantumPolicy
 from repro.hw.machine import Machine
 from repro.sched.linux import LinuxScheduler
 from repro.sim.engine import Engine
@@ -42,7 +42,7 @@ def _setup(n_apps=3, quantum=20_000.0, work=500_000.0, policy=None):
     kernel.attach(machine, engine, np.random.default_rng(50))
     policy = LatestQuantumPolicy() if policy is None else policy
     manager = CpuManager(ManagerConfig(quantum_us=quantum), policy, kernel)
-    manager.attach(machine, engine, np.random.default_rng(51))
+    manager.attach(machine, engine)
     manager.register_apps(apps)
     return engine, machine, apps, kernel, manager
 
@@ -108,16 +108,18 @@ class TestDisconnectBlockedApp:
         assert manager._last_sample_seen == {}
         assert manager._selected == set()
 
-    def test_boundary_reap_releases_oracle_names(self):
-        """The oracle policy's name map must not keep departed apps."""
-        policy = OraclePolicy({"app0": 5.0, "app1": 5.0})
+    def test_boundary_reap_releases_policy_state(self):
+        """The policy's per-app estimator state must not keep departed apps."""
+        policy = LatestQuantumPolicy()
         engine, machine, apps, kernel, manager = _setup(n_apps=2, work=30_000.0, policy=policy)
         kernel.start()
         manager.start()
         engine.run(advancer=machine, stop=machine.all_finished, max_time=1e10)
+        assert policy._last  # both apps were measured before they left
         engine.run_until(engine.now + 2 * manager.config.quantum_us, advancer=machine)
         assert manager.arena.connected() == []
-        assert policy._names == {}
+        assert policy._last == {}
+        assert policy._updated == {}
 
 
 class TestRateHygiene:

@@ -23,7 +23,7 @@ def _stack(n_cpus=4, quantum=20_000.0, policy=None):
     manager = CpuManager(
         ManagerConfig(quantum_us=quantum), policy or LatestQuantumPolicy(), kernel
     )
-    manager.attach(machine, engine, np.random.default_rng(2))
+    manager.attach(machine, engine)
     return engine, machine, kernel, manager
 
 

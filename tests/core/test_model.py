@@ -70,7 +70,9 @@ class TestValidation:
             ContentionModel(**kw)
 
     def test_fit_from_field_measurements(self):
-        m = ContentionModel.fit(saturated_total_txus=28.0, streaming_solo_txus=22.0)
+        # A deployment passes its own counters' saturated plateau and
+        # streaming ceiling straight to the constructor.
+        m = ContentionModel(capacity_txus=28.0, streaming_rate_txus=22.0)
         assert m.capacity_txus == 28.0
         assert m.streaming_rate_txus == 22.0
         assert m.predict([22.0, 22.0]).saturated

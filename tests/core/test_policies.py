@@ -1,6 +1,5 @@
 """Policy selection algorithm tests (Section 4 semantics)."""
 
-import numpy as np
 import pytest
 
 from repro.core.fitness import constant_fitness
@@ -8,16 +7,13 @@ from repro.core.policies import (
     EwmaPolicy,
     JobView,
     LatestQuantumPolicy,
-    OraclePolicy,
     QuantaWindowPolicy,
-    RandomGangPolicy,
 )
 from repro.errors import SchedulingError
 
 
-def _jobs(widths, names=None):
-    names = names or [f"app{i}" for i in range(len(widths))]
-    return [JobView(app_id=i + 1, width=w, name=n) for i, (w, n) in enumerate(zip(widths, names))]
+def _jobs(widths):
+    return [JobView(app_id=i + 1, width=w) for i, w in enumerate(widths)]
 
 
 class TestSelectionAlgorithm:
@@ -140,36 +136,6 @@ class TestEwma:
         pol.on_sample(1, 4.0)
         pol.on_sample(1, 8.0)
         assert pol.estimate(1) == pytest.approx(6.0)
-
-
-class TestOracle:
-    def test_estimates_by_name(self):
-        pol = OraclePolicy(true_rates={"CG": 11.65})
-        sel = pol.select(
-            [JobView(7, 2, "CG"), JobView(8, 1, "nBBMA"), JobView(9, 1, "nBBMA")], 4
-        )
-        assert pol.estimate(7) == 11.65
-        assert pol.estimate(8) is None
-
-
-class TestRandomGang:
-    def test_needs_rng(self):
-        pol = RandomGangPolicy()
-        with pytest.raises(SchedulingError):
-            pol.select(_jobs([1, 1]), n_cpus=2)
-
-    def test_head_still_guaranteed(self):
-        pol = RandomGangPolicy()
-        pol.bind_rng(np.random.default_rng(0))
-        for _ in range(10):
-            sel = pol.select(_jobs([2, 1, 1, 1]), n_cpus=4)
-            assert sel.app_ids[0] == 1
-
-    def test_random_fills_vary(self):
-        pol = RandomGangPolicy()
-        pol.bind_rng(np.random.default_rng(0))
-        outcomes = {pol.select(_jobs([1] * 6), n_cpus=2).app_ids for _ in range(20)}
-        assert len(outcomes) > 1
 
 
 class TestFitnessInjection:

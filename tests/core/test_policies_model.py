@@ -8,7 +8,7 @@ from repro.errors import SchedulingError
 
 
 def _jobs(widths):
-    return [JobView(app_id=i + 1, width=w, name=f"a{i}") for i, w in enumerate(widths)]
+    return [JobView(app_id=i + 1, width=w) for i, w in enumerate(widths)]
 
 
 def _feed(pol, app_id, rate, n=5, saturated=False):

@@ -23,7 +23,7 @@ def _policy_with(rates):
 @given(_widths, _rates)
 @settings(max_examples=300, deadline=None)
 def test_selection_fits_machine(widths, rates):
-    jobs = [JobView(i + 1, w, f"a{i}") for i, w in enumerate(widths)]
+    jobs = [JobView(i + 1, w) for i, w in enumerate(widths)]
     pol = _policy_with(rates)
     sel = pol.select(jobs, n_cpus=4)
     width_of = {j.app_id: j.width for j in jobs}
@@ -33,7 +33,7 @@ def test_selection_fits_machine(widths, rates):
 @given(_widths, _rates)
 @settings(max_examples=300, deadline=None)
 def test_no_duplicate_selection(widths, rates):
-    jobs = [JobView(i + 1, w, f"a{i}") for i, w in enumerate(widths)]
+    jobs = [JobView(i + 1, w) for i, w in enumerate(widths)]
     sel = _policy_with(rates).select(jobs, n_cpus=4)
     assert len(sel.app_ids) == len(set(sel.app_ids))
 
@@ -41,7 +41,7 @@ def test_no_duplicate_selection(widths, rates):
 @given(_widths, _rates)
 @settings(max_examples=300, deadline=None)
 def test_head_rule(widths, rates):
-    jobs = [JobView(i + 1, w, f"a{i}") for i, w in enumerate(widths)]
+    jobs = [JobView(i + 1, w) for i, w in enumerate(widths)]
     sel = _policy_with(rates).select(jobs, n_cpus=4)
     fitting = [j.app_id for j in jobs if j.width <= 4]
     if fitting:
@@ -52,7 +52,7 @@ def test_head_rule(widths, rates):
 @settings(max_examples=300, deadline=None)
 def test_maximality_no_fitting_job_left_out_of_free_cpus(widths, rates):
     # The traversal loop must keep allocating while any unchosen job fits.
-    jobs = [JobView(i + 1, w, f"a{i}") for i, w in enumerate(widths)]
+    jobs = [JobView(i + 1, w) for i, w in enumerate(widths)]
     sel = _policy_with(rates).select(jobs, n_cpus=4)
     width_of = {j.app_id: j.width for j in jobs}
     free = 4 - sum(width_of[a] for a in sel.app_ids)
@@ -72,7 +72,7 @@ def test_rotation_plus_head_rule_prevents_starvation(app_ids):
     order = list(app_ids)
     seen = set()
     for _ in range(len(order)):
-        jobs = [JobView(a, 4, f"a{a}") for a in order]  # full-width: only head runs
+        jobs = [JobView(a, 4) for a in order]  # full-width: only head runs
         sel = pol.select(jobs, n_cpus=4)
         seen.update(sel.app_ids)
         ran = [a for a in order if a in sel.app_ids]

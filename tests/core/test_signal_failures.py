@@ -138,7 +138,7 @@ def _lossy_manager_run(protocol: str, resend: bool, max_time: float = 1e10):
         QuantaWindowPolicy(),
         kernel,
     )
-    manager.attach(machine, engine, np.random.default_rng(6))
+    manager.attach(machine, engine)
     # swap in a lossy dispatcher (keeps the kernel wiring and protocol)
     manager._signals = SignalDispatcher(
         machine,

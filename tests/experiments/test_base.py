@@ -27,7 +27,7 @@ def _app(rate=2.0, work=40_000.0):
 
 
 class TestSchedulerSelection:
-    @pytest.mark.parametrize("sched", ["dedicated", "linux", "gang"])
+    @pytest.mark.parametrize("sched", ["dedicated", "linux"])
     def test_string_schedulers(self, sched):
         result = run_simulation(SimulationSpec(targets=[_app()], scheduler=sched, seed=1))
         assert result.mean_target_turnaround_us() > 0

@@ -62,7 +62,7 @@ def _managed(
         kernel,
         faults=injector,
     )
-    manager.attach(machine, engine, np.random.default_rng(51))
+    manager.attach(machine, engine)
     manager.register_apps(apps)
     injector.schedule_app_faults(engine, machine, apps)
     kernel.start()

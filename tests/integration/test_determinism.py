@@ -20,8 +20,8 @@ def _spec(scheduler, seed):
 class TestDeterminism:
     @pytest.mark.parametrize(
         "make_scheduler",
-        [lambda: "linux", lambda: "gang", lambda: LatestQuantumPolicy(), lambda: QuantaWindowPolicy()],
-        ids=["linux", "gang", "latest", "window"],
+        [lambda: "linux", lambda: LatestQuantumPolicy(), lambda: QuantaWindowPolicy()],
+        ids=["linux", "latest", "window"],
     )
     def test_same_seed_same_result(self, make_scheduler):
         a = run_simulation(_spec(make_scheduler(), seed=7))

@@ -73,7 +73,7 @@ def test_policy_gang_selection_width(seed):
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=8, deadline=None)
 def test_no_thread_on_two_cpus_ever(seed):
-    result, handle = _run_random(seed, "gang")
+    result, handle = _run_random(seed, "linux26")
     # structural invariant maintained by the machine: spot-check final state
     machine = handle.machine
     seen = [c.tid for c in machine.cpus if c.tid is not None]

@@ -14,6 +14,7 @@ import pytest
 
 from repro.service import ResultStore, SimulationService
 from repro.service.api import create_wsgi_app
+from repro.service.schemas import SpecValidationError, parse_submit_request
 
 PAYLOAD = {
     "spec": {
@@ -155,6 +156,36 @@ class TestErrorMapping:
         assert status == 400
         assert body["error"]["type"] == "validation"
         assert body["error"]["path"] == "request.spec.targets[0].app"
+
+    @pytest.mark.parametrize(
+        "scheduler, path, valid",
+        [
+            ("gang", "request.spec.scheduler", ("linux", "linux26", "dedicated")),
+            (
+                {"policy": "oracle", "true_rates": {"CG": 40.0}},
+                "request.spec.scheduler.policy",
+                ("ewma", "latest_quantum", "model_driven", "quanta_window"),
+            ),
+            (
+                {"policy": "random_gang"},
+                "request.spec.scheduler.policy",
+                ("ewma", "latest_quantum", "model_driven", "quanta_window"),
+            ),
+        ],
+        ids=["gang", "oracle", "random_gang"],
+    )
+    def test_removed_scheduler_is_400_listing_valid_names(self, app, scheduler, path, valid):
+        bad = {"spec": dict(PAYLOAD["spec"], scheduler=scheduler)}
+        with pytest.raises(SpecValidationError) as excinfo:
+            parse_submit_request(bad)
+        assert excinfo.value.path == path
+        status, body = call(app, "POST", "/v1/runs", bad)
+        assert status == 400
+        assert body["error"]["type"] == "validation"
+        assert body["error"]["path"] == path
+        assert body["error"]["message"] == excinfo.value.message
+        for name in valid:
+            assert name in body["error"]["message"]
 
     def test_queue_full_is_503(self):
         # Saturation is 503, distinct from the per-tenant rate limit's 429.

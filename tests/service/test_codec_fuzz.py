@@ -207,8 +207,7 @@ _policy_common = {
     "bus_capacity_txus": _pos, "fitness_scale": _pos, "incremental": st.booleans(),
 }
 _policies = st.one_of(
-    st.fixed_dictionaries({"policy": st.sampled_from(["latest_quantum", "random_gang"])},
-                          optional=_policy_common),
+    st.fixed_dictionaries({"policy": st.just("latest_quantum")}, optional=_policy_common),
     st.fixed_dictionaries({"policy": st.just("quanta_window")},
                           optional={"window_length": st.integers(1, 9), **_policy_common}),
     st.fixed_dictionaries({"policy": st.just("ewma")},
@@ -217,10 +216,6 @@ _policies = st.one_of(
         "window_length": st.integers(1, 9), "idle_penalty": _unit,
         "fairness_weight": _unit, "use_peak": st.booleans(), **_policy_common,
     }),
-    st.fixed_dictionaries({
-        "policy": st.just("oracle"),
-        "true_rates": st.dictionaries(st.sampled_from(paper_app_names()), _rate, max_size=3),
-    }, optional=_policy_common),
 )
 _arrivals = st.deferred(lambda: st.one_of(
     st.fixed_dictionaries({"kind": st.just("poisson"), "rate_per_s": _pos}),
@@ -265,7 +260,7 @@ _specs = st.fixed_dictionaries(
     {"targets": st.lists(_apps, min_size=1, max_size=3)},
     optional={
         "background": st.lists(_apps, max_size=2),
-        "scheduler": st.sampled_from(["linux", "linux26", "dedicated", "gang"]) | _policies,
+        "scheduler": st.sampled_from(["linux", "linux26", "dedicated"]) | _policies,
         "kernel": st.sampled_from(["linux", "linux26"]),
         "seed": st.integers(0, 2**63),
         "max_time_us": _pos,

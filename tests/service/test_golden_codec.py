@@ -110,7 +110,6 @@ SPEC_CASES: dict[str, dict] = {
     "sched_dedicated": {
         **_static("dedicated"), "dedicated_migration_interval_us": 250_000,
     },
-    "sched_gang": _static("gang"),
     "sched_default": {"targets": [_CG]},
     # bandwidth policies
     "policy_latest_quantum": _static({"policy": "latest_quantum"}),
@@ -123,8 +122,6 @@ SPEC_CASES: dict[str, dict] = {
         "policy": "model_driven", "window_length": 4, "idle_penalty": 0.2,
         "fairness_weight": 0.1, "saturation_inflation": 1.5, "use_peak": True,
     }),
-    "policy_random_gang": _static({"policy": "random_gang"}),
-    "policy_oracle": _static({"policy": "oracle", "true_rates": {"CG": 40, "BBMA": 23.6}}),
     "policy_on_linux26": {**_static({"policy": "latest_quantum"}), "kernel": "linux26"},
     # arrival processes and rate shapes
     "arrivals_poisson": _dynamic({"kind": "poisson", "rate_per_s": 2}),

@@ -100,12 +100,39 @@ class TestRecoveryDispositions:
         finally:
             service.shutdown(drain=False, timeout=10.0)
 
+    @pytest.mark.parametrize(
+        "scheduler",
+        ["nope", "gang", {"policy": "oracle", "true_rates": {"CG": 40.0}}],
+        ids=["nope", "gang", "oracle"],
+    )
+    def test_stale_spec_row_fails_without_blocking_start(self, store, scheduler):
+        # A stored spec can outlive the version that accepted it (here: a
+        # scheduler name the current codec rejects). Recovery marks that
+        # row failed with the validation path and keeps going.
+        payload = dict(spec_to_dict(spec_from_dict(_payload(1)["spec"])), scheduler=scheduler)
+        stale = store.create(
+            spec_hash="stale", spec_json=canonical_json(payload), tenant="t1"
+        ).run_id
+        good = _orphan(store, seed=2)
+        service = SimulationService(store, queue_depth=8, jobs=1).start()
+        try:
+            record = store.get(stale)
+            assert record.status == "failed"
+            assert "spec.scheduler" in record.error
+            assert "unknown" in record.error
+            assert service.wait(good, timeout=120.0).status == "done"
+            stats = service.stats()
+            assert stats.recovered_failed == 1
+            assert stats.recovered_requeued == 1
+        finally:
+            service.shutdown(drain=False, timeout=10.0)
+
     def test_recovery_skipped_when_queue_is_live(self, store):
         # An in-process restart: the rows in the queue have a live owner,
         # so recovery must not double-enqueue them.
         service = SimulationService(store, queue_depth=8, jobs=1)  # no dispatcher
         accepted = service.submit(PAYLOAD)
-        assert service.recover() == {"requeued": 0, "quarantined": 0}
+        assert service.recover() == {"requeued": 0, "quarantined": 0, "failed": 0}
         assert store.get(accepted["run_id"]).status == "queued"
         assert service.queue.depth == 1  # exactly the one live entry
 
@@ -113,7 +140,7 @@ class TestRecoveryDispositions:
         run_ids = [_orphan(store, seed) for seed in range(4)]
         service = SimulationService(store, queue_depth=2, jobs=1)  # no dispatcher
         summary = service.recover()
-        assert summary == {"requeued": 2, "quarantined": 0}
+        assert summary == {"requeued": 2, "quarantined": 0, "failed": 0}
         statuses = sorted(store.get(r).status for r in run_ids)
         assert statuses == ["cancelled", "cancelled", "queued", "queued"]
         assert not any(

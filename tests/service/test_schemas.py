@@ -15,7 +15,7 @@ import pickle
 
 import pytest
 
-from repro.core.policies import EwmaPolicy, OraclePolicy, QuantaWindowPolicy
+from repro.core.policies import EwmaPolicy, LatestQuantumPolicy, QuantaWindowPolicy
 from repro.core.policies_model import ModelDrivenPolicy
 from repro.experiments.base import run_simulation
 from repro.service.schemas import (
@@ -143,7 +143,7 @@ class TestSchedulerCodec:
             QuantaWindowPolicy(window_length=5),
             EwmaPolicy(alpha=0.3),
             ModelDrivenPolicy(idle_penalty=0.2, fairness_weight=0.1),
-            OraclePolicy(true_rates={"CG": 40.0}),
+            LatestQuantumPolicy(fitness_scale=500.0),
         ],
     )
     def test_policy_round_trip(self, policy):

@@ -2,6 +2,7 @@
 
 import logging
 import math
+import re
 
 import pytest
 
@@ -434,8 +435,8 @@ class TestSupervisedRunMany:
         assert excinfo.value.attempts == _FAST_SUP.max_attempts
 
     def test_siblings_land_despite_crasher(self, monkeypatch):
-        # Crasher last: unfinished specs re-run in index order, so every
-        # sibling is delivered (phase 1 or isolation) before the raise.
+        # Crasher last: in-flight specs re-run in index order, so every
+        # sibling is delivered (pool pass or isolation) before the raise.
         specs = _specs(3)
         serial = run_many(specs, jobs=1)
         monkeypatch.setenv("REPRO_CHAOS_KILL_SPEC", specs[2].spec_hash())
@@ -491,6 +492,25 @@ class TestSupervisedRunMany:
         assert any(
             "worker crash detected" in r.getMessage() for r in caplog.records
         )
+
+    def test_crash_isolates_only_in_flight_specs(self, monkeypatch, tmp_path, caplog):
+        # Two workers, one spec per chunk: when spec 0 kills its worker,
+        # at most two specs are in flight (spec 0 and one sibling). Only
+        # those run in isolation; the specs never dispatched go back
+        # through a fresh two-worker pool instead of running one at a time.
+        specs = _specs(6)
+        serial = run_many(specs, jobs=1)
+        monkeypatch.setenv("REPRO_CHAOS_KILL_SPEC", specs[0].spec_hash())
+        monkeypatch.setenv("REPRO_CHAOS_KILL_ONCE_DIR", str(tmp_path))
+        with caplog.at_level(logging.WARNING, logger="repro.parallel"):
+            results = run_many(specs, jobs=2, chunk_size=1)
+        assert results == serial
+        notes = [
+            r.getMessage() for r in caplog.records if "worker crash detected" in r.getMessage()
+        ]
+        assert len(notes) == 1
+        isolated = int(re.search(r"isolating (\d+) ", notes[0]).group(1))
+        assert 1 <= isolated <= 2
 
     def test_default_path_crash_every_attempt_raises_typed_error(self, monkeypatch):
         specs = _specs(2)
