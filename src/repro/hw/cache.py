@@ -49,10 +49,11 @@ class CacheL2:
         self._cfg = config
         self._total = float(config.total_lines)
         self._resident: dict[int, float] = {}
-        # Steady-state memo for account_run: (tid, mine, occ, others,
-        # free) captured after a call that mutated nothing. Any mutation
-        # path clears it.
-        self._fast: tuple[int, float, float, float, float] | None = None
+        # Steady-state memo for account_run: (tid, mine, limit) captured
+        # after a call that mutated nothing, where ``limit`` is the largest
+        # inflow that displaces nothing (``inf`` when no other thread is
+        # resident, else the free space). Any mutation path clears it.
+        self._fast: tuple[int, float, float] | None = None
 
     @property
     def total_lines(self) -> float:
@@ -98,17 +99,21 @@ class CacheL2:
         whole cache or there is enough free space), the call mutates
         nothing — so the sums from the previous call stay valid and the
         decision needs only a few comparisons. Any mutation clears the memo.
+
+        The memo test is the full computation's no-op condition, rewritten
+        without arithmetic: no growth (``cap <= mine``, i.e. the footprint
+        or the capacity is at most the residency) and no displacement
+        (``inflow_lines <= limit``).
         """
         if inflow_lines <= 0.0:
             return
+        fast = self._fast
+        if fast is not None and fast[0] == tid and inflow_lines <= fast[2]:
+            mine = fast[1]
+            if footprint_lines <= mine or self._total <= mine:
+                return  # provably the same no-op as the full computation
         res = self._resident
         cap = min(float(footprint_lines), self._total)
-        fast = self._fast
-        if fast is not None and fast[0] == tid:
-            _, mine, occ, others, free = fast
-            grow = min(inflow_lines, max(0.0, cap - mine))
-            if grow <= 0.0 and (others <= 0.0 or inflow_lines <= free):
-                return  # provably the same no-op as the full computation
         mine = res.get(tid, 0.0)
         grow = min(inflow_lines, max(0.0, cap - mine))
         occ = 0.0
@@ -138,7 +143,7 @@ class CacheL2:
         if mutated:
             self._fast = None
         else:
-            self._fast = (tid, mine, occ, others, free)
+            self._fast = (tid, mine, float("inf") if others <= 0.0 else free)
 
     def forget(self, tid: int) -> None:
         """Drop all residency bookkeeping for a departed thread."""

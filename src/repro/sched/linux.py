@@ -159,15 +159,19 @@ class LinuxScheduler(KernelScheduler):
 
         ``counter//2`` carry-over (the 2.4 sleeper bonus) plus one tick of
         jitter, drawn in tid order, so slices do not re-synchronize into
-        lockstep cohorts after every epoch.
+        lockstep cohorts after every epoch. The unfinished tids come from
+        one mask over the store (``row == tid - 1``), not from a walk over
+        every thread ever registered, which grows without bound in an
+        open system.
         """
         machine = self.machine
         counters = self._counters
         default = self.config.default_ticks
-        for t in machine.threads():
-            if not t.finished:
-                jitter = int(self.rng.integers(0, 2))
-                counters[t.tid] = counters.get(t.tid, 0) // 2 + default + jitter
+        rng = self.rng
+        store = machine.store
+        for tid in (np.flatnonzero(~store.finished[: store.n]) + 1).tolist():
+            jitter = int(rng.integers(0, 2))
+            counters[tid] = counters.get(tid, 0) // 2 + default + jitter
         self._epochs += 1
         machine.trace.record(machine.now, "sched.epoch", number=self._epochs)
 

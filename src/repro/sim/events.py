@@ -1,6 +1,7 @@
 """Event types and deterministic ordering for the simulation engine.
 
-Events firing at the same instant are ordered by ``(priority, sequence)``.
+Events firing at the same instant are ordered by ``(priority, sequence)``;
+the engine's heap orders ``(time, priority, seq, event)`` tuples.
 Priorities encode the causal conventions of the simulator: counter samples
 are published before the CPU manager makes a quantum decision that reads
 them; kernel scheduler ticks run after manager decisions so the kernel
@@ -10,7 +11,6 @@ dispatches the freshly unblocked threads within the same instant.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Callable
 
 __all__ = ["EventPriority", "TimerEvent"]
@@ -41,9 +41,13 @@ class EventPriority(enum.IntEnum):
     DEFAULT = 50
 
 
-@dataclass(order=True)
 class TimerEvent:
-    """A scheduled callback. Ordering key: ``(time, priority, seq)``.
+    """A scheduled callback.
+
+    The engine's heap holds ``(time, priority, seq, event)`` tuples, so
+    heap operations compare floats and ints in C. ``seq`` is unique, so a
+    comparison never reaches the event itself, and events fire in
+    ``(time, priority, seq)`` order.
 
     Attributes
     ----------
@@ -60,8 +64,13 @@ class TimerEvent:
         Lazily-cancelled events stay in the heap but are skipped.
     """
 
-    time: float
-    priority: int
-    seq: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    __slots__ = ("time", "priority", "seq", "callback", "cancelled")
+
+    def __init__(
+        self, time: float, priority: int, seq: int, callback: Callable[[], None]
+    ) -> None:
+        self.time = time
+        self.priority = priority
+        self.seq = seq
+        self.callback = callback
+        self.cancelled = False

@@ -151,3 +151,63 @@ class TestDesynchronization:
             engine.run(advancer=machine, stop=machine.all_finished, max_time=1e9)
             results.append([t.finished_at for t in threads])
         assert results[0] == results[1]
+
+
+class _ThreadWalkRecharge(LinuxScheduler):
+    """The recharge as a walk over every registered thread: the oracle."""
+
+    def _recharge_counters(self):
+        machine = self.machine
+        for t in machine.threads():
+            if not t.finished:
+                jitter = int(self.rng.integers(0, 2))
+                self._counters[t.tid] = (
+                    self._counters.get(t.tid, 0) // 2 + self.config.default_ticks + jitter
+                )
+        self._epochs += 1
+        machine.trace.record(machine.now, "sched.epoch", number=self._epochs)
+
+
+def _churn(sched_cls):
+    """Jobs arrive, finish and are killed while epochs recharge counters."""
+    engine = Engine()
+    machine = Machine(MachineConfig(n_cpus=2), engine, TraceRecorder())
+    sched = sched_cls(LinuxSchedConfig(default_ticks=2, rebalance_prob=0.1))
+    sched.attach(machine, engine, np.random.default_rng(7))
+    rnd = np.random.default_rng(99)
+
+    def arrive(i):
+        t = machine.add_thread(
+            f"j{i}",
+            ConstantPattern(1.0).bind(np.random.default_rng(i)),
+            float(rnd.integers(20_000, 200_000)),
+            footprint_lines=512.0,
+        )
+        sched.on_new_threads()
+        if i % 7 == 3:
+            engine.schedule_after(20_000.0, lambda: machine.kill_thread(t.tid))
+
+    for i in range(40):
+        engine.schedule_at(i * 8_000.0, lambda i=i: arrive(i))
+    sched.start()
+    engine.run(advancer=machine, stop=None, max_time=1e9)
+    return machine, sched
+
+
+def test_recharge_matches_thread_walk_after_churn():
+    machine, sched = _churn(LinuxScheduler)
+    ref_machine, ref_sched = _churn(_ThreadWalkRecharge)
+    assert machine.all_finished() and len(machine.threads()) == 40
+    assert sched.epochs > 5
+    # Some epochs start after threads left, so the mask skips finished rows.
+    first_exit = min(r.time for r in machine.trace if r.category in ("thread.exit", "thread.kill"))
+    assert max(r.time for r in machine.trace if r.category == "sched.epoch") > first_exit
+    assert sched.epochs == ref_sched.epochs
+    assert sched._counters == ref_sched._counters
+    assert sched.rng.bit_generator.state == ref_sched.rng.bit_generator.state
+    assert [t.finished_at for t in machine.threads()] == [
+        t.finished_at for t in ref_machine.threads()
+    ]
+    assert [(r.time, r.category, r.data) for r in machine.trace] == [
+        (r.time, r.category, r.data) for r in ref_machine.trace
+    ]

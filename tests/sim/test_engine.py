@@ -1,6 +1,7 @@
 """Unit tests for the discrete-event engine."""
 
 import math
+import random
 
 import pytest
 
@@ -71,6 +72,30 @@ class TestScheduling:
         eng.schedule_at(1.0, lambda: order.append("manager"), priority=EventPriority.MANAGER)
         eng.run_until(2.0)
         assert order == ["sample", "manager", "kernel"]
+
+    def test_random_events_fire_in_time_priority_seq_order(self):
+        # 1,000 events over few distinct times and priorities, so ties on
+        # (time, priority) are common and the insertion sequence decides.
+        rnd = random.Random(2003)
+        eng = Engine()
+        fired = []
+        keys = []
+        handles = []
+        priorities = list(EventPriority)
+        for seq in range(1000):
+            key = (float(rnd.randrange(50)), int(rnd.choice(priorities)), seq)
+            keys.append(key)
+            handles.append(
+                eng.schedule_at(key[0], lambda k=key: fired.append(k), priority=key[1])
+            )
+        cancelled = set(rnd.sample(range(1000), 300))
+        for seq in cancelled:
+            handles[seq].cancel()
+        eng.run_until(100.0)
+        assert fired == sorted(k for k in keys if k[2] not in cancelled)
+        assert eng.events_fired == 700
+        assert eng.events_cancelled == 300
+        assert eng.pending_events == 0
 
     def test_event_scheduled_during_dispatch_same_instant_fires(self):
         eng = Engine()
