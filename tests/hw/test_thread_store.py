@@ -130,7 +130,6 @@ class TestThreadStateView:
         assert type(st.work_done) is float
         assert type(st.cpu) is int
         assert type(st.finished) is bool
-        assert st.remaining_work == 1_000.0
 
     def test_row_matches_tid_assignment(self):
         machine = Machine(MachineConfig(), Engine())
