@@ -130,14 +130,14 @@ class CpuManager:
         self.arena = SharedArena(sample_period_us=config.sample_period_us)
         self._signals: SignalDispatcher | None = None
         self._selected: set[int] = set()          # current *intent*
-        # Per-application row caches: app_id -> (thread-store rows,
-        # counter-bank rows) for the descriptor's tids. A descriptor's tid
+        # Per-application row cache: app_id -> the thread-store rows (also
+        # the counter-bank rows) of the descriptor's tids. A descriptor's tid
         # list is fixed for its connected life, so the manager's per-tick
         # scans (running check, counter accumulation, finished masks) index
         # the arrays directly instead of walking tids through dicts.
         # Released with the rest of the per-app state in _release, so a
         # reconnecting app id rebuilds from its new descriptor.
-        self._rows_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._rows_cache: dict[int, np.ndarray] = {}
         self._boundary_samples: dict[int, ArenaSample] = {}
         self._last_sample_seen: dict[int, ArenaSample] = {}
         self._quanta = 0
@@ -359,7 +359,7 @@ class CpuManager:
         if not desc.connected:
             return
         machine = self.machine
-        if machine.store.finished[self._app_rows(desc)[0]].all():
+        if machine.store.finished[self._app_rows(desc)].all():
             self.disconnect_app(state.app_id)
 
     def register_apps(self, apps: list["Application"]) -> None:
@@ -387,15 +387,16 @@ class CpuManager:
 
     # ----------------------------------------------------------------- sampling
 
-    def _app_rows(self, desc) -> tuple[np.ndarray, np.ndarray]:
-        """(store rows, counter rows) for a descriptor's threads, cached."""
+    def _app_rows(self, desc) -> np.ndarray:
+        """Store rows of a descriptor's threads, cached.
+
+        A thread's store row is also its counter row (the machine
+        registers both in tid order).
+        """
         rows = self._rows_cache.get(desc.app_id)
         if rows is None:
             tids = desc.tids
-            store_rows = np.fromiter(
-                (t - 1 for t in tids), dtype=np.int64, count=len(tids)
-            )
-            rows = (store_rows, self.machine.counters.rows_of(tids))
+            rows = np.fromiter((t - 1 for t in tids), dtype=np.int64, count=len(tids))
             self._rows_cache[desc.app_id] = rows
         return rows
 
@@ -404,7 +405,7 @@ class CpuManager:
         counters = self.machine.counters
         total = 0.0
         for desc in self.arena.connected():
-            total += counters.read_rows(self._app_rows(desc)[1]).bus_transactions
+            total += counters.read_rows(self._app_rows(desc)).bus_transactions
         return total
 
     def _interval_saturated(self, prev: tuple[float, float]) -> tuple[bool, tuple[float, float]]:
@@ -433,10 +434,10 @@ class CpuManager:
         for desc in self.arena.connected():
             # Only running applications update their pages: a blocked
             # process cannot execute its sampling code.
-            srows, crows = self._app_rows(desc)
-            if not (store_cpu[srows] >= 0).any():
+            rows = self._app_rows(desc)
+            if not (store_cpu[rows] >= 0).any():
                 continue
-            snap = machine.counters.read_rows(crows)
+            snap = machine.counters.read_rows(rows)
             sample = ArenaSample(
                 time_us=machine.now,
                 cum_transactions=snap.bus_transactions,
@@ -483,7 +484,7 @@ class CpuManager:
         #    checkpoint and signal-counter state too).
         finished_col = machine.store.finished
         for desc in list(self.arena.connected()):
-            if finished_col[self._app_rows(desc)[0]].all():
+            if finished_col[self._app_rows(desc)].all():
                 self.disconnect_app(desc.app_id)
 
         # 0b. Hung-app watchdog (hardened fault runs only): quarantine
@@ -526,7 +527,7 @@ class CpuManager:
         jobs = [
             JobView(
                 app_id=d.app_id,
-                width=int(np.count_nonzero(~finished_col[self._app_rows(d)[0]])),
+                width=int(np.count_nonzero(~finished_col[self._app_rows(d)])),
             )
             for d in self.arena.connected()
         ]
@@ -543,7 +544,7 @@ class CpuManager:
         # 4. Signal the deltas (block losers first so their CPUs free up
         #    by the time the winners' unblocks land).
         for desc in self.arena.connected():
-            fin = finished_col[self._app_rows(desc)[0]].tolist()
+            fin = finished_col[self._app_rows(desc)].tolist()
             live = [t for t, f in zip(desc.tids, fin) if not f]
             if not live:
                 continue
@@ -611,10 +612,10 @@ class CpuManager:
         machine = self.machine
         finished_col = machine.store.finished
         for desc in list(self.arena.connected()):
-            srows, crows = self._app_rows(desc)
-            if finished_col[srows].all():
+            rows = self._app_rows(desc)
+            if finished_col[rows].all():
                 continue
-            work = machine.counters.read_rows(crows).work_us
+            work = machine.counters.read_rows(rows).work_us
             prev = self._watchdog_work.get(desc.app_id)
             self._watchdog_work[desc.app_id] = work
             if prev is None or desc.app_id not in self._selected:

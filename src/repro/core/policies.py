@@ -36,6 +36,7 @@ estimator ablation (ABL-W):
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -224,8 +225,15 @@ class BandwidthPolicy(ABC):
         ``jobs`` must be in circular-list order (head first). Returns the
         selected applications; the caller turns this into signals. Each
         estimate is read once per call, ``allocated_bbw`` is a running
-        sum, and each traversal keeps the first strict maximum of
+        sum, and each traversal picks the first strict maximum of
         :meth:`fitness` in list order.
+
+        A traversal scores groups, not jobs: jobs with the same estimate
+        and width get the same score from a pure fitness function, so each
+        group (in list order) is scored once, for its first untaken
+        member. The winner is the strict maximum, a tie going to the lower
+        list index, which is the job the one-pass scan over every job
+        picks. NaN and ``-inf`` scores never win.
         """
         if n_cpus < 1:
             raise SchedulingError("need at least one CPU")
@@ -250,19 +258,43 @@ class BandwidthPolicy(ABC):
                 free -= job.width
                 allocated_bbw += ests[i] * job.width
                 break
-        # Step 2: fitness-driven traversals.
-        while free > 0:
+        # Step 2: fitness-driven traversals over (estimate, width) groups.
+        # A group is [estimate, width, member indices, first untaken
+        # position]; a zero estimate keys on its sign too, so a fitness
+        # that tells -0.0 from 0.0 still sees one value per group.
+        by_key: dict[tuple, list] = {}
+        for i, job in enumerate(jobs):
+            est = ests[i]
+            key = (est, job.width) if est else (est, job.width, math.copysign(1.0, est))
+            group = by_key.get(key)
+            if group is None:
+                by_key[key] = [est, job.width, [i], 0]
+            else:
+                group[2].append(i)
+        groups = list(by_key.values())
+        while free > 0 and groups:
             abbw_per_proc = (self.bus_capacity_txus - allocated_bbw) / free
-            best_idx: int | None = None
-            best_score = -float("inf")
-            for i, job in enumerate(jobs):
-                if job.app_id in taken or job.width > free:
+            best_idx = -1
+            best_score = -math.inf
+            live = []
+            for group in groups:
+                members = group[2]
+                pos = group[3]
+                while pos < len(members) and jobs[members[pos]].app_id in taken:
+                    pos += 1
+                if pos == len(members):
+                    continue  # every member taken: drop the group
+                group[3] = pos
+                live.append(group)
+                if group[1] > free:
                     continue
-                score = self.fitness(abbw_per_proc, ests[i])
-                if score > best_score:
+                score = self.fitness(abbw_per_proc, group[0])
+                i = members[pos]
+                if score > best_score or (score == best_score and 0 <= i < best_idx):
                     best_score = score
                     best_idx = i
-            if best_idx is None:
+            groups = live
+            if best_idx < 0:
                 break
             best = jobs[best_idx]
             abbw_trace.append(abbw_per_proc)

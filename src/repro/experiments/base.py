@@ -18,6 +18,7 @@ import copy
 import dataclasses
 import itertools
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .. import audit as audit_mod
 from .. import profiling
@@ -191,6 +192,19 @@ class SimulationHandle:
     auditor: InvariantAuditor | None = None
     faults: FaultInjector | None = None
 
+    def release(self) -> None:
+        """Break the run's reference cycles once it is over.
+
+        The machine's listeners and the engine's pending events reference
+        the schedulers and the manager, which reference the machine and
+        the engine back. Without those links reference counting frees the
+        whole run as soon as the caller drops the handle, instead of
+        leaving it for the cyclic collector. The handle's results stay
+        readable; the run cannot be continued.
+        """
+        self.engine.cancel_pending()
+        self.machine.clear_listeners()
+
 
 def _make_kernel(name: str, spec: "SimulationSpec") -> KernelScheduler:
     """Kernel substrate factory for policy-managed runs."""
@@ -363,7 +377,37 @@ def run_simulation(spec: SimulationSpec) -> RunResult:
     """Run one simulation to target completion and collect results."""
     handle = _build(spec)
     result, _ = run_simulation_with_handle(spec, handle)
+    handle.release()
     return result
+
+
+def _stop_predicate(handle: SimulationHandle) -> Callable[[], bool]:
+    """The engine's stop test: every target done, nothing left to arrive.
+
+    A thread never becomes unfinished again, and arrivals only append to
+    ``handle.target_apps``, so the test keeps a cursor on the first
+    unfinished thread of the first unfinished target and moves it
+    forward: a call reads one thread's state, not every target's threads.
+    """
+    app_i = 0
+    thread_i = 0
+
+    def done() -> bool:
+        nonlocal app_i, thread_i
+        if handle.pending_arrivals:
+            return False
+        targets = handle.target_apps
+        while app_i < len(targets):
+            threads = targets[app_i].threads
+            while thread_i < len(threads):
+                if not threads[thread_i].finished:
+                    return False
+                thread_i += 1
+            app_i += 1
+            thread_i = 0
+        return handle.dynamic is None or handle.dynamic.all_done
+
+    return done
 
 
 def run_simulation_with_handle(
@@ -384,13 +428,7 @@ def run_simulation_with_handle(
     if handle.dynamic is not None:
         handle.dynamic.start()
 
-    def done() -> bool:
-        return (
-            handle.pending_arrivals == 0
-            and all(app.finished for app in handle.target_apps)
-            and (handle.dynamic is None or handle.dynamic.all_done)
-        )
-
+    done = _stop_predicate(handle)
     max_time = spec.max_time_us
     if handle.dynamic is not None:
         max_time += handle.dynamic.schedule_span_us

@@ -120,13 +120,6 @@ class CounterBank:
         self._row[tid] = row
         return row
 
-    def rows_of(self, tids: list[int]) -> np.ndarray:
-        """Array rows for several threads, in input order."""
-        try:
-            return np.fromiter((self._row[t] for t in tids), dtype=np.int64, count=len(tids))
-        except KeyError as exc:
-            raise CounterError(f"row of unknown thread {exc.args[0]}") from None
-
     def credit(
         self,
         tid: int,
@@ -216,7 +209,7 @@ class CounterBank:
         return CounterSnapshot(tx, cy, wk)
 
     def read_rows(self, rows: np.ndarray) -> CounterSnapshot:
-        """Accumulated snapshot over pre-resolved rows (see :meth:`rows_of`).
+        """Accumulated snapshot over the rows :meth:`register` returned.
 
         The sums are ``cumsum`` tails: numpy's cumulative sum accumulates
         strictly left to right, which reproduces ``read_many``'s

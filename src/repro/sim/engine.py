@@ -177,6 +177,22 @@ class Engine:
         """
         return self._events_cancelled
 
+    def cancel_pending(self) -> None:
+        """Cancel every pending event and drop the heap.
+
+        Each live event counts as cancelled, so the ledger above still
+        holds. The heap holds the callbacks, which reference the
+        simulation's objects: dropping it breaks those reference cycles
+        once a run is over.
+        """
+        for entry in self._heap:
+            ev = entry[3]
+            if not ev.cancelled:
+                ev.cancelled = True
+                self._pending -= 1
+                self._events_cancelled += 1
+        self._heap.clear()
+
     def next_event_time(self) -> float:
         """Absolute time of the earliest pending event, or ``inf``."""
         self._drop_cancelled()

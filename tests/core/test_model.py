@@ -44,7 +44,7 @@ class TestPrediction:
         bus = BusModel(BusConfig())
         for rates in ([11.655] * 4, [23.6] * 4, [1.4, 1.4, 23.6, 23.6], [2.0, 7.0]):
             predicted = model.predict(rates)
-            actual = bus.solve([bus.request_for_rate(r) for r in rates])
+            actual = bus.solve(rates)
             for ps, grant in zip(predicted.speeds, actual.grants):
                 assert ps == pytest.approx(grant.speed, rel=0.02)
 

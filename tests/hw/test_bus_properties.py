@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import BusConfig
-from repro.hw.bus import BusModel, BusRequest
+from repro.hw.bus import BusModel
 
 _rates = st.floats(min_value=0.0, max_value=40.0, allow_nan=False, allow_infinity=False)
 _request_lists = st.lists(_rates, min_size=1, max_size=8)
@@ -19,7 +19,7 @@ def _bus(arbitration="shared-latency") -> BusModel:
 @settings(max_examples=200, deadline=None)
 def test_conservation_total_never_exceeds_capacity(rates):
     bus = _bus()
-    sol = bus.solve([bus.request_for_rate(r) for r in rates])
+    sol = bus.solve(rates)
     assert sol.total_txus <= bus.capacity * (1 + 1e-9)
 
 
@@ -27,7 +27,7 @@ def test_conservation_total_never_exceeds_capacity(rates):
 @settings(max_examples=200, deadline=None)
 def test_speeds_in_unit_interval(rates):
     bus = _bus()
-    sol = bus.solve([bus.request_for_rate(r) for r in rates])
+    sol = bus.solve(rates)
     for grant in sol.grants:
         assert 0.0 < grant.speed <= 1.0 + 1e-9
 
@@ -36,19 +36,17 @@ def test_speeds_in_unit_interval(rates):
 @settings(max_examples=200, deadline=None)
 def test_actual_rate_is_demand_times_speed(rates):
     bus = _bus()
-    reqs = [bus.request_for_rate(r) for r in rates]
-    sol = bus.solve(reqs)
-    for req, grant in zip(reqs, sol.grants):
-        assert grant.actual_txus == pytest.approx(req.rate_txus * grant.speed, rel=1e-9, abs=1e-12)
+    sol = bus.solve(rates)
+    for rate, grant in zip(rates, sol.grants):
+        assert grant.actual_txus == pytest.approx(rate * grant.speed, rel=1e-9, abs=1e-12)
 
 
 @given(_request_lists, _rates)
 @settings(max_examples=150, deadline=None)
 def test_adding_a_thread_never_speeds_anyone_up(rates, extra):
     bus = _bus()
-    reqs = [bus.request_for_rate(r) for r in rates]
-    before = bus.solve(reqs)
-    after = bus.solve(reqs + [bus.request_for_rate(extra)])
+    before = bus.solve(rates)
+    after = bus.solve(rates + [extra])
     for b, a in zip(before.grants, after.grants):
         assert a.speed <= b.speed * (1 + 1e-9)
 
@@ -57,7 +55,7 @@ def test_adding_a_thread_never_speeds_anyone_up(rates, extra):
 @settings(max_examples=150, deadline=None)
 def test_latency_at_least_unloaded(rates):
     bus = _bus()
-    sol = bus.solve([bus.request_for_rate(r) for r in rates])
+    sol = bus.solve(rates)
     assert sol.latency_us >= bus.lam0 * (1 - 1e-12)
 
 
@@ -65,7 +63,7 @@ def test_latency_at_least_unloaded(rates):
 @settings(max_examples=150, deadline=None)
 def test_saturation_flag_consistent(rates):
     bus = _bus()
-    sol = bus.solve([bus.request_for_rate(r) for r in rates])
+    sol = bus.solve(rates)
     if sol.saturated:
         assert sol.total_txus == pytest.approx(bus.capacity, rel=1e-6)
     else:
@@ -76,12 +74,11 @@ def test_saturation_flag_consistent(rates):
 @settings(max_examples=150, deadline=None)
 def test_max_min_conservation_and_bounds(rates):
     bus = _bus("max-min")
-    reqs = [bus.request_for_rate(r) for r in rates]
-    sol = bus.solve(reqs)
+    sol = bus.solve(rates)
     assert sol.total_txus <= bus.capacity * (1 + 1e-9)
-    for req, grant in zip(reqs, sol.grants):
+    for rate, grant in zip(rates, sol.grants):
         assert 0.0 <= grant.speed <= 1.0 + 1e-9
-        assert grant.actual_txus <= req.rate_txus + 1e-9
+        assert grant.actual_txus <= rate + 1e-9
 
 
 @given(st.lists(_rates, min_size=1, max_size=10), st.floats(min_value=0.1, max_value=100.0))

@@ -27,7 +27,7 @@ _wide_request_lists = st.lists(_rates, min_size=_BATCH_MIN_LANES, max_size=24)
 
 
 def _solve(bus: BusModel, rates) -> BusSolution:
-    return bus.solve([bus.request_for_rate(r) for r in rates])
+    return bus.solve(list(rates))
 
 
 def _scalar_newton_solve(bus: BusModel, rates) -> BusSolution:
