@@ -65,10 +65,10 @@ def quick_spec(seed: int) -> dict:
 #: Slow cell (~1 s): parks the dispatcher so the next submissions queue up.
 def slow_spec(seed: int) -> dict:
     return {
-        "targets": [{"app": "CG", "work_scale": 20.0}],
+        "targets": [{"app": "CG", "work_scale": 100.0}],
         "background": [{"microbench": "BBMA"}],
         "scheduler": {"policy": "latest_quantum"},
-        "max_time_us": 200_000_000,
+        "max_time_us": 2_000_000_000,
         "seed": seed,
     }
 
@@ -78,6 +78,9 @@ def slow_spec(seed: int) -> dict:
 BAD_SPEC = quick_spec(999)
 
 TERMINAL = ("done", "cached", "failed", "cancelled", "quarantined")
+
+#: Every server this script started; a failed check must not leave one running.
+_SERVERS: list[subprocess.Popen] = []
 
 
 def request(base: str, method: str, path: str, body: dict | None = None):
@@ -131,6 +134,7 @@ def start_server(results_dir: str, chaos_env: dict | None = None):
          "--max-attempts", str(MAX_ATTEMPTS)],
         stderr=subprocess.PIPE, text=True, env=env,
     )
+    _SERVERS.append(proc)
     deadline = time.monotonic() + 30.0
     line = ""
     while time.monotonic() < deadline:
@@ -150,6 +154,20 @@ def submit(base: str, spec: dict) -> str:
 
 
 def main() -> int:
+    try:
+        return run_phases()
+    finally:
+        for proc in _SERVERS:
+            if proc.poll() is None:
+                proc.send_signal(signal.SIGINT)
+                try:
+                    proc.wait(timeout=60)
+                except subprocess.TimeoutExpired:
+                    proc.kill()
+                    proc.wait()
+
+
+def run_phases() -> int:
     bad_hash = spec_from_dict(BAD_SPEC).spec_hash()
     accepted: list[str] = []  # every run_id the service ever acknowledged
 

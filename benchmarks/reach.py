@@ -7,35 +7,45 @@ installed, then prints
 2. the functions and methods that no driver calls,
 
 each with its line count. A module or function that only its own unit
-tests reach is a candidate for deletion.
+tests reach is a candidate for deletion. Declarations whose bodies can
+never run are not counted: ``@abstractmethod`` bodies and the methods of
+a ``typing.Protocol``. A base-class default that subclasses may inherit
+(say ``KernelScheduler.on_io_change``) is real code and is counted.
 
 The drivers:
 
 * every EXPERIMENTS.md artifact through the CLI, at smoke scale with
-  ``--jobs 1``. Forked workers exit through ``os._exit``, which skips
-  the recorder's ``atexit`` dump, so a simulation only counts when it
-  runs in the parent process;
+  ``--jobs 1``;
 * one ``ablations --scale 0.1`` run: at the smoke scale of ``all`` the
   estimator ablation's runs end before their first sample, so its EWMA
   estimator would read as dead;
 * one ``fig2 --jobs 2`` run, so that the parallel dispatch loop of
-  ``repro.parallel.run_many`` is reached in the parent (its workers'
-  calls go unrecorded, as above);
+  ``repro.parallel.run_many`` and its workers are reached;
 * the ``perfbench/inputs.py`` specs of the ``fig2_grid``, ``large_smp``
   and ``open_churn`` workloads, imported read-only;
-* ``benchmarks/service_smoke.py``, which drives ``repro serve`` over HTTP.
+* ``benchmarks/service_smoke.py``, which drives ``repro serve`` over
+  HTTP, its rate limiter and its request validation included;
+* ``benchmarks/chaos_smoke.py``, which drives worker-crash isolation,
+  quarantine and restart recovery.
 
 The recorder is stdlib only: ``sys.setprofile`` plus
-``threading.setprofile`` collect the code object of every Python call.
-It keys on the code object itself, which the set keeps alive; keying on
+``threading.setprofile`` see the code object of every Python call. It
+keys on the code object itself, which the set keeps alive; keying on
 ``id(code)`` would misattribute calls once a freed code object's id is
-reused. Each interpreter loads the recorder from a generated
-``sitecustomize`` module, so the ``repro serve`` process that
-``service_smoke.py`` starts is recorded too.
+reused. Each ``src/repro`` code object is appended to the process's
+record file with one ``write`` the first time it is called, not dumped
+at exit: forked pool workers leave through ``os._exit``, and
+``chaos_smoke.py`` SIGKILLs a worker and then the service itself, and
+the calls those processes made count all the same (a forked child
+appends to its parent's file). Each interpreter loads the recorder from
+a generated ``sitecustomize`` module, so the ``repro serve`` processes
+that the smoke scripts start are recorded too.
 
-The exit status is 1 when a driver fails, or when a module that no
-driver imports is missing from :data:`KEEP_MODULES`; CI runs this so that
-a new dead module cannot land silently. Run from the repo root::
+The exit status is 1 when a driver fails, when a module that no driver
+imports is missing from :data:`KEEP_MODULES`, or when more functions go
+uncalled than :data:`BASELINE_FUNCTIONS`. A run that finds fewer asks
+for the baseline to be lowered, so that the count only goes down. CI
+runs this. Run from the repo root::
 
     PYTHONPATH=src python benchmarks/reach.py
 """
@@ -43,7 +53,6 @@ a new dead module cannot land silently. Run from the repo root::
 from __future__ import annotations
 
 import ast
-import atexit
 import json
 import os
 import subprocess
@@ -59,6 +68,11 @@ SRC = ROOT / "src" / "repro"
 KEEP_MODULES = {
     "workloads/synth.py": "input generator of the property tests",
 }
+
+#: Uncalled functions (and their lines) at the last accepted change. A
+#: run that finds more fails; one that finds fewer asks for these to drop.
+BASELINE_FUNCTIONS = 136
+BASELINE_LINES = 1101
 
 _PERFBENCH = """
 import sys
@@ -102,6 +116,7 @@ def drivers(scratch: str) -> list[tuple[str, list[str]]]:
                     "--replications", "1", "--jobs", "1"]),
         ("perfbench inputs", [sys.executable, "-c", _PERFBENCH.format(root=str(ROOT))]),
         ("service smoke", [sys.executable, str(ROOT / "benchmarks" / "service_smoke.py")]),
+        ("chaos smoke", [sys.executable, str(ROOT / "benchmarks" / "chaos_smoke.py")]),
     ]
 
 
@@ -109,29 +124,21 @@ def drivers(scratch: str) -> list[tuple[str, list[str]]]:
 
 
 def record(out_dir: str) -> None:
-    """Record this interpreter's calls; dump them to ``out_dir`` at exit."""
+    """Append each ``src/repro`` code object this interpreter calls to a file."""
     seen: set = set()
     src = str(SRC)
+    fd = os.open(os.path.join(out_dir, f"{os.getpid()}.jsonl"),
+                 os.O_WRONLY | os.O_CREAT | os.O_APPEND)
 
     def profile(frame, event, arg):
         if event == "call":
-            seen.add(frame.f_code)
+            code = frame.f_code
+            if code not in seen:
+                seen.add(code)
+                if code.co_filename.startswith(src):
+                    line = [code.co_filename, code.co_qualname, code.co_firstlineno]
+                    os.write(fd, (json.dumps(line) + "\n").encode())
 
-    def dump() -> None:
-        sys.setprofile(None)
-        calls = sorted(
-            {(c.co_filename, c.co_qualname, c.co_firstlineno)
-             for c in seen if c.co_filename.startswith(src)}
-        )
-        modules = sorted(
-            {f for m in list(sys.modules.values())
-             if (f := getattr(m, "__file__", None)) and f.startswith(src)}
-        )
-        path = os.path.join(out_dir, f"{os.getpid()}.json")
-        with open(path, "w") as fh:
-            json.dump({"calls": calls, "modules": modules}, fh)
-
-    atexit.register(dump)
     threading.setprofile(profile)
     sys.setprofile(profile)
 
@@ -162,44 +169,57 @@ def run_drivers(out_dir: str, scratch: str) -> list[str]:
 # --------------------------------------------------------------- reporting
 
 
+def _is_named(node: ast.expr, name: str) -> bool:
+    """Whether ``node`` is ``name`` or ``<module>.name``."""
+    return (isinstance(node, ast.Name) and node.id == name) or (
+        isinstance(node, ast.Attribute) and node.attr == name)
+
+
 def definitions(path: Path) -> list[tuple[str, int, int]]:
-    """(qualname, first line, line count) of every def in ``path``.
+    """(qualname, first line, line count) of every def in ``path`` that can run.
 
     The first line is the first decorator's, as in ``co_firstlineno``.
+    ``@abstractmethod`` bodies and the methods of a ``Protocol`` class are
+    left out: they declare an interface and are never called.
     """
     out = []
 
-    def visit(node: ast.AST, prefix: str) -> None:
+    def visit(node: ast.AST, prefix: str, stubs: bool) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 first = min([d.lineno for d in child.decorator_list] + [child.lineno])
-                out.append((prefix + child.name, first, child.end_lineno - first + 1))
-                visit(child, f"{prefix}{child.name}.<locals>.")
+                abstract = any(_is_named(d, "abstractmethod") for d in child.decorator_list)
+                if not (stubs or abstract):
+                    out.append((prefix + child.name, first, child.end_lineno - first + 1))
+                visit(child, f"{prefix}{child.name}.<locals>.", False)
             elif isinstance(child, ast.ClassDef):
-                visit(child, f"{prefix}{child.name}.")
+                protocol = any(_is_named(b, "Protocol") for b in child.bases)
+                visit(child, f"{prefix}{child.name}.", protocol)
             else:
-                visit(child, prefix)
+                visit(child, prefix, stubs)
 
-    visit(ast.parse(path.read_text()), "")
+    visit(ast.parse(path.read_text()), "", False)
     return out
 
 
-def report(out_dir: str) -> list[str]:
-    """Print the reach tables; returns the dead modules not on the keep-list."""
+def report(out_dir: str) -> tuple[list[str], int, int]:
+    """Print the reach tables.
+
+    Returns the dead modules not on the keep-list, and the count and
+    lines of the uncalled functions.
+    """
     called: set[tuple[str, str, int]] = set()
-    imported: set[str] = set()
-    dumps = list(Path(out_dir).glob("*.json"))
+    dumps = list(Path(out_dir).glob("*.jsonl"))
     for dump in dumps:
-        data = json.loads(dump.read_text())
-        called.update((f, q, n) for f, q, n in data["calls"])
-        imported.update(data["modules"])
+        called.update(tuple(json.loads(line)) for line in dump.read_text().splitlines())
+    imported = {f for f, _, _ in called}
 
     files = sorted(SRC.rglob("*.py"))
     total = sum(len(p.read_text().splitlines()) for p in files)
     dead_modules = [p for p in files if str(p) not in imported]
     dead_lines = sum(len(p.read_text().splitlines()) for p in dead_modules)
     print(f"src/repro: {len(files)} modules, {total} lines; "
-          f"{len(dumps)} recorded processes\n")
+          f"{len(dumps)} recorded interpreters (forked children share their parent's file)\n")
     print(f"Modules no driver imports ({len(dead_modules)}, {dead_lines} lines):")
     unexempt = []
     for p in dead_modules:
@@ -220,11 +240,12 @@ def report(out_dir: str) -> list[str]:
                 continue
             rows.append((p.relative_to(SRC).as_posix(), first, qual, n))
             reported_until = first + n - 1
-    print(f"\nFunctions no driver calls ({len(rows)}, "
-          f"{sum(r[3] for r in rows)} lines; nested defs fold into their parent):")
+    lines = sum(r[3] for r in rows)
+    print(f"\nFunctions no driver calls ({len(rows)}, {lines} lines; "
+          "nested defs fold into their parent):")
     for rel, first, qual, n in rows:
         print(f"  {rel}:{first:<5d} {qual:56s} {n:4d}")
-    return unexempt
+    return unexempt, len(rows), lines
 
 
 def main() -> int:
@@ -232,7 +253,7 @@ def main() -> int:
         out_dir = os.path.join(scratch, "calls")
         os.makedirs(out_dir)
         failed = run_drivers(out_dir, scratch)
-        unexempt = report(out_dir)
+        unexempt, n_uncalled, uncalled_lines = report(out_dir)
     if failed:
         print(f"\nREACH: drivers failed: {', '.join(failed)}", file=sys.stderr)
         return 1
@@ -240,7 +261,17 @@ def main() -> int:
         print(f"\nREACH: modules no driver imports and no keep-list entry: "
               f"{', '.join(unexempt)}", file=sys.stderr)
         return 1
-    print("\nREACH: every module is imported by a driver or on the keep-list")
+    found = f"{n_uncalled} uncalled functions ({uncalled_lines} lines)"
+    baseline = f"{BASELINE_FUNCTIONS} ({BASELINE_LINES} lines)"
+    if n_uncalled > BASELINE_FUNCTIONS:
+        print(f"\nREACH: {found}, above the baseline of {baseline}: drive or "
+              "delete the new ones", file=sys.stderr)
+        return 1
+    if n_uncalled < BASELINE_FUNCTIONS:
+        print(f"\nREACH: {found}, below the baseline of {baseline}: lower "
+              "BASELINE_FUNCTIONS and BASELINE_LINES in benchmarks/reach.py")
+    else:
+        print(f"\nREACH: {found}, at the baseline")
     return 0
 
 

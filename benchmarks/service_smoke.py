@@ -16,8 +16,13 @@ way an external client would:
    the stats counters (``executed_runs`` stays 1, ``cache.hits`` is 1);
 5. ``GET /v1/stats`` exposes queue/dispatch/cache/store sections;
 6. a malformed spec is rejected 400 with a path-annotated validation
-   error (never enqueued);
-7. SIGINT drains the server cleanly (exit code 0).
+   error (never enqueued), and so is an unknown ``{"app": ...}`` name,
+   with an error that lists the paper's application names;
+7. SIGINT drains the server cleanly (exit code 0);
+8. a second server started with ``--rate-limit 1 --burst 1`` accepts a
+   tenant's first submission and answers its second with 429 and a
+   ``Retry-After`` header, and ``/v1/stats`` counts one rate-limited
+   rejection.
 
 Run from the repo root (the CI ``service-smoke`` job does exactly this)::
 
@@ -41,6 +46,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.experiments.base import run_simulation  # noqa: E402
 from repro.service.schemas import result_from_dict, spec_from_dict  # noqa: E402
+from repro.workloads.suites import paper_app_names  # noqa: E402
 
 #: A fig2-style cell: one target app + one bandwidth-consuming
 #: microbenchmark under the paper's latest-quantum policy, scaled down so
@@ -57,6 +63,8 @@ MALFORMED_SPEC = {
     "scheduler": {"policy": "no_such_policy"},
 }
 
+UNKNOWN_APP_SPEC = {"targets": [{"app": "NoSuchApp"}]}
+
 
 def request(base: str, method: str, path: str, body: dict | None = None):
     """One JSON request; returns (status, decoded body) without raising."""
@@ -69,7 +77,7 @@ def request(base: str, method: str, path: str, body: dict | None = None):
         with urllib.request.urlopen(req, timeout=30) as resp:
             return resp.status, json.loads(resp.read())
     except urllib.error.HTTPError as exc:
-        return exc.code, json.loads(exc.read())
+        return exc.code, json.loads(exc.read()) | {"retry_after": exc.headers["Retry-After"]}
 
 
 def wait_terminal(base: str, run_id: str, timeout_s: float = 120.0) -> dict:
@@ -83,7 +91,7 @@ def wait_terminal(base: str, run_id: str, timeout_s: float = 120.0) -> dict:
     raise TimeoutError(f"run {run_id} not terminal after {timeout_s}s")
 
 
-def start_server(results_dir: str) -> tuple[subprocess.Popen, str]:
+def start_server(results_dir: str, *flags: str) -> tuple[subprocess.Popen, str]:
     """Launch ``repro serve`` on an ephemeral port; returns (proc, base URL)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -91,7 +99,7 @@ def start_server(results_dir: str) -> tuple[subprocess.Popen, str]:
     )
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0",
-         "--results-dir", results_dir],
+         "--results-dir", results_dir, *flags],
         stderr=subprocess.PIPE, text=True, env=env,
     )
     # The CLI prints the bound address once the socket is up.
@@ -153,17 +161,44 @@ def main() -> int:
             status, stats = request(base, "GET", "/v1/stats")
             assert stats["dispatch"]["rejected_invalid"] == 1, stats
             print(f"[smoke] malformed spec rejected 400 at {err['error']['path']}")
+
+            status, err = request(base, "POST", "/v1/runs", {"spec": UNKNOWN_APP_SPEC})
+            assert status == 400 and err["error"]["type"] == "validation", (status, err)
+            assert all(name in err["error"]["message"] for name in paper_app_names()), err
+            status, stats = request(base, "GET", "/v1/stats")
+            assert stats["dispatch"]["rejected_invalid"] == 2, stats
+            print("[smoke] unknown app rejected 400, valid names listed")
         finally:
-            proc.send_signal(signal.SIGINT)
-            try:
-                proc.wait(timeout=60)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                raise
-        assert proc.returncode == 0, f"server exit code {proc.returncode}"
+            stop_server(proc)
         print("[smoke] clean SIGINT drain, exit 0")
+
+    with tempfile.TemporaryDirectory(prefix="repro-service-smoke-") as results_dir:
+        proc, base = start_server(results_dir, "--rate-limit", "1", "--burst", "1")
+        try:
+            status, accepted = request(base, "POST", "/v1/runs", {"spec": FIG2_SPEC})
+            assert status == 202, (status, accepted)
+            status, err = request(base, "POST", "/v1/runs", {"spec": FIG2_SPEC})
+            assert status == 429 and err["error"]["type"] == "rate_limited", (status, err)
+            assert int(err["retry_after"]) >= 1, err
+            status, stats = request(base, "GET", "/v1/stats")
+            assert stats["dispatch"]["rejected_rate_limited"] == 1, stats
+            wait_terminal(base, accepted["run_id"])
+            print(f"[smoke] rate limit: second submit 429, Retry-After {err['retry_after']}s")
+        finally:
+            stop_server(proc)
     print("SERVICE-SMOKE: all checks passed")
     return 0
+
+
+def stop_server(proc: subprocess.Popen) -> None:
+    """SIGINT the server and require a clean drain (exit code 0)."""
+    proc.send_signal(signal.SIGINT)
+    try:
+        proc.wait(timeout=60)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        raise
+    assert proc.returncode == 0, f"server exit code {proc.returncode}"
 
 
 if __name__ == "__main__":

@@ -154,13 +154,9 @@ class InvariantAuditor:
         # that just ended" is judged against the right decision.
         self._liveness: dict[int, list[float]] = {}
         self._prev_selected: set[int] = set()
-        self._manager: "CpuManager | None" = None
+        self._period_us = 0.0
 
     # ------------------------------------------------------------------ wiring
-
-    def install_manager(self, manager: "CpuManager") -> None:
-        """Attach to a CPU manager (called by the manager on attach)."""
-        self._manager = manager
 
     def start_periodic(self, period_us: float) -> None:
         """Start a self-rescheduling audit tick for manager-less runs.
@@ -172,13 +168,15 @@ class InvariantAuditor:
         """
         if period_us <= 0:
             raise ValueError(f"audit period must be positive, got {period_us}")
+        self._period_us = period_us
+        self._engine.schedule_after(period_us, self._tick, priority=EventPriority.OBSERVER)
 
-        def tick() -> None:
-            self.check_engine()
-            self.check_bus()
-            self._engine.schedule_after(period_us, tick, priority=EventPriority.OBSERVER)
-
-        self._engine.schedule_after(period_us, tick, priority=EventPriority.OBSERVER)
+    def _tick(self) -> None:
+        # A method, not a closure that names itself: a closure would hold
+        # itself in a cycle and keep the machine alive after the run.
+        self.check_engine()
+        self.check_bus()
+        self._engine.schedule_after(self._period_us, self._tick, priority=EventPriority.OBSERVER)
 
     # ----------------------------------------------------------------- plumbing
 

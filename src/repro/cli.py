@@ -114,9 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
     dyn.add_argument(
         "--mix", type=str, default=None, metavar="KIND:K=V,...",
         help=(
-            "job-mix family over the paper palette: weighted (default), "
-            "'zipfian:exponent=1.0', 'hotspot:hot_fraction=0.8,hot_index=0', "
-            "'sequential:run_length=4' or 'bursty:mean_run_length=4'"
+            "job-mix family over the paper palette: weighted (default) "
+            "or 'zipfian:exponent=1.0'"
         ),
     )
     flt = parser.add_argument_group("faults", "options for the 'faults' degradation sweep")

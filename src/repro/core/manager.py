@@ -210,7 +210,6 @@ class CpuManager:
             # exact in floats, and fault-free trajectories must not move.
             machine.add_exit_listener(self._on_thread_exit)
         if self._auditor is not None:
-            self._auditor.install_manager(self)
             auditor = self._auditor
             self._signals.set_audit_hook(lambda tid: auditor.on_deliver(self, tid))
 

@@ -136,7 +136,3 @@ class ContentionModel:
         speeds = tuple(self._speed(r, lam) for r in rates)
         tput = sum(r * s for r, s in zip(rates, speeds))
         return GangPrediction(speeds, tput, sum(speeds), saturated=True)
-
-    def predict_progress(self, rates: Sequence[float]) -> float:
-        """Shortcut: only the progress objective."""
-        return self.predict(rates).progress

@@ -5,7 +5,9 @@ co-scheduled applications run to completion. This package adds the open
 system: jobs arrive over time (:mod:`~repro.dynamic.arrivals`), queue for
 admission and churn through the CPU manager mid-simulation
 (:mod:`~repro.dynamic.driver`), and are summarized with steady-state
-queueing metrics (:mod:`repro.metrics.queueing`). Attach a
+queueing metrics (:mod:`repro.metrics.queueing`). Each arrival draws its
+application from a :class:`JobMix` palette: equal weights, or Zipf-skewed
+with :class:`ZipfianMix`. Attach a
 :class:`DynamicWorkload` to a :class:`~repro.experiments.base.SimulationSpec`
 to drive one through the standard harness.
 """
@@ -21,11 +23,8 @@ from .arrivals import (
     TraceArrivals,
 )
 from .config import (
-    BurstyMix,
     DynamicWorkload,
-    HotspotMix,
     JobMix,
-    SequentialMix,
     ZipfianMix,
     paper_mix,
 )
@@ -42,9 +41,6 @@ __all__ = [
     "ShapedArrivals",
     "JobMix",
     "ZipfianMix",
-    "HotspotMix",
-    "SequentialMix",
-    "BurstyMix",
     "paper_mix",
     "DynamicWorkload",
     "OpenSystemDriver",

@@ -11,7 +11,7 @@ starts, never deep inside a run. They are plain picklable data so a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,9 +22,6 @@ from .arrivals import ArrivalProcess
 __all__ = [
     "JobMix",
     "ZipfianMix",
-    "HotspotMix",
-    "SequentialMix",
-    "BurstyMix",
     "DynamicWorkload",
     "paper_mix",
 ]
@@ -34,12 +31,10 @@ __all__ = [
 class JobMix:
     """A weighted palette of job templates the driver samples from.
 
-    Subclasses skew or correlate the draws (:class:`ZipfianMix`,
-    :class:`HotspotMix`, :class:`SequentialMix`, :class:`BurstyMix`) by
-    overriding :meth:`_effective_entries` (static reweighting) or
-    :meth:`sample_many` (sequence-level structure). The driver samples
-    whole schedules through :meth:`sample_many`, so both hooks compose
-    with the named-RNG-stream determinism contract.
+    Subclasses skew the draws (:class:`ZipfianMix`) by overriding
+    :meth:`_effective_entries`. The driver samples whole schedules
+    through :meth:`sample_many`, which keeps the named-RNG-stream
+    determinism contract.
 
     Attributes
     ----------
@@ -83,11 +78,6 @@ class JobMix:
         """Draw a whole schedule; the base mix is n independent draws."""
         return [self.sample(rng) for _ in range(n)]
 
-    def mean_nominal_service_us(self) -> float:
-        """(Effective-)weight-averaged solo execution time of the mix."""
-        total = self.total_weight
-        return sum(s.work_per_thread_us * w for s, w in self._effective_entries()) / total
-
 
 @dataclass(frozen=True)
 class ZipfianMix(JobMix):
@@ -110,93 +100,6 @@ class ZipfianMix(JobMix):
             (spec, w * (i + 1) ** -self.exponent)
             for i, (spec, w) in enumerate(self.entries)
         )
-
-
-@dataclass(frozen=True)
-class HotspotMix(JobMix):
-    """One template absorbs a fixed fraction of all draws.
-
-    The entry at ``hot_index`` is drawn with probability ``hot_fraction``;
-    the rest of the palette splits the remainder in proportion to its
-    original weights (single-entry mixes are trivially all-hot).
-    """
-
-    hot_fraction: float = 0.8
-    hot_index: int = 0
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not 0.0 < self.hot_fraction < 1.0:
-            raise ConfigError(
-                f"hot_fraction must be in (0, 1), got {self.hot_fraction}"
-            )
-        if not 0 <= self.hot_index < len(self.entries):
-            raise ConfigError(
-                f"hot_index must be in [0, {len(self.entries)}), got {self.hot_index}"
-            )
-
-    def _effective_entries(self) -> tuple[tuple[ApplicationSpec, float], ...]:
-        if len(self.entries) == 1:
-            return self.entries
-        cold_total = sum(w for i, (_, w) in enumerate(self.entries) if i != self.hot_index)
-        scale = (1.0 - self.hot_fraction) / cold_total
-        return tuple(
-            (spec, self.hot_fraction if i == self.hot_index else w * scale)
-            for i, (spec, w) in enumerate(self.entries)
-        )
-
-
-@dataclass(frozen=True)
-class SequentialMix(JobMix):
-    """Deterministic phases: each template runs ``run_length`` jobs in turn.
-
-    ``sample_many`` cycles the palette in order (consuming no RNG draws);
-    a single :meth:`~JobMix.sample` still draws weight-proportionally, so
-    the sequential structure only manifests at the schedule level — which
-    is how the driver consumes mixes.
-    """
-
-    run_length: int = 4
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.run_length < 1:
-            raise ConfigError(f"run_length must be >= 1, got {self.run_length}")
-
-    def sample_many(self, rng: np.random.Generator, n: int) -> list[ApplicationSpec]:
-        return [
-            self.entries[(i // self.run_length) % len(self.entries)][0]
-            for i in range(n)
-        ]
-
-
-@dataclass(frozen=True)
-class BurstyMix(JobMix):
-    """Correlated phases: each weighted draw persists for a geometric run.
-
-    A template is drawn weight-proportionally, then repeated for a
-    geometric number of consecutive jobs with mean ``mean_run_length`` —
-    back-to-back submissions of the same code, the temporal-locality
-    pattern sequential independent draws cannot produce.
-    """
-
-    mean_run_length: float = 4.0
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.mean_run_length < 1.0:
-            raise ConfigError(
-                f"mean_run_length must be >= 1, got {self.mean_run_length}"
-            )
-
-    def sample_many(self, rng: np.random.Generator, n: int) -> list[ApplicationSpec]:
-        out: list[ApplicationSpec] = []
-        p = 1.0 / self.mean_run_length
-        while len(out) < n:
-            spec = self.sample(rng)
-            run = int(rng.geometric(p))
-            out.extend([spec] * min(run, n - len(out)))
-        return out
 
 
 def paper_mix(

@@ -197,13 +197,17 @@ class SimulationHandle:
 
         The machine's listeners and the engine's pending events reference
         the schedulers and the manager, which reference the machine and
-        the engine back. Without those links reference counting frees the
-        whole run as soon as the caller drops the handle, instead of
-        leaving it for the cyclic collector. The handle's results stay
-        readable; the run cannot be continued.
+        the engine back; in audited runs the signal dispatcher's audit
+        hook references the manager that owns the dispatcher. Without
+        those links reference counting frees the whole run as soon as the
+        caller drops the handle, instead of leaving it for the cyclic
+        collector. The handle's results stay readable; the run cannot be
+        continued.
         """
         self.engine.cancel_pending()
         self.machine.clear_listeners()
+        if self.manager is not None:
+            self.manager.signals.set_audit_hook(None)
 
 
 def _make_kernel(name: str, spec: "SimulationSpec") -> KernelScheduler:

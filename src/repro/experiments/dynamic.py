@@ -13,6 +13,10 @@ queueing behaviour when jobs arrive continuously:
 * bandwidth-regulation quality: time-averaged bus utilisation and the
   fraction of time the bus sits above the saturation threshold.
 
+Arrivals come from :func:`make_arrivals` (Poisson, MMPP or a trace),
+optionally time-warped by :func:`make_shape` envelopes, and draw their
+application from :func:`make_mix` (``weighted`` or ``zipfian``).
+
 The sweep grid is (policy × arrival rate × seed replication), flattened
 through :func:`repro.parallel.run_many` like every other harness here —
 results are bit-identical for any worker count.
@@ -27,16 +31,13 @@ from ..config import LinuxSchedConfig, MachineConfig, ManagerConfig
 from ..core.policies import LatestQuantumPolicy, QuantaWindowPolicy
 from ..dynamic import (
     ArrivalProcess,
-    BurstyMix,
     DiurnalShape,
     DynamicWorkload,
     FlashCrowdShape,
-    HotspotMix,
     JobMix,
     MMPPBurstyArrivals,
     PoissonArrivals,
     RateShape,
-    SequentialMix,
     ShapedArrivals,
     ZipfianMix,
     paper_mix,
@@ -124,39 +125,25 @@ def make_mix(
     work_scale: float = 1.0,
     **params: float,
 ) -> JobMix:
-    """A (possibly skewed/correlated) paper-palette job mix by CLI name.
+    """A (possibly skewed) paper-palette job mix by CLI name.
 
-    ``weighted`` is the plain equal-weight palette; ``zipfian``,
-    ``hotspot``, ``sequential`` and ``bursty`` wrap the same palette in
-    the corresponding :mod:`repro.dynamic.config` family. Integer-valued
-    parameters (``hot_index``, ``run_length``) accept floats from the CLI
-    parser and are coerced.
+    ``weighted`` is the plain equal-weight palette; ``zipfian`` wraps the
+    same palette in :class:`~repro.dynamic.config.ZipfianMix`. Any other
+    kind raises :class:`~repro.errors.ConfigError` naming the known ones.
     """
     base = paper_mix(names=apps, work_scale=work_scale)
     if kind == "weighted":
         if params:
             raise ConfigError(f"weighted mix takes no parameters, got {sorted(params)}")
         return base
-    factories: dict[str, tuple[type[JobMix], set[str]]] = {
-        "zipfian": (ZipfianMix, {"exponent"}),
-        "hotspot": (HotspotMix, {"hot_fraction", "hot_index"}),
-        "sequential": (SequentialMix, {"run_length"}),
-        "bursty": (BurstyMix, {"mean_run_length"}),
-    }
-    if kind not in factories:
-        raise ConfigError(
-            f"unknown mix kind {kind!r}; known: weighted, {', '.join(sorted(factories))}"
-        )
-    factory, allowed = factories[kind]
-    unknown = set(params) - allowed
+    if kind != "zipfian":
+        raise ConfigError(f"unknown mix kind {kind!r}; known: weighted, zipfian")
+    unknown = set(params) - {"exponent"}
     if unknown:
         raise ConfigError(
-            f"unknown {kind} mix parameters {sorted(unknown)}; known: {sorted(allowed)}"
+            f"unknown zipfian mix parameters {sorted(unknown)}; known: ['exponent']"
         )
-    coerced: dict[str, float | int] = {
-        k: int(v) if k in ("hot_index", "run_length") else v for k, v in params.items()
-    }
-    return factory(entries=base.entries, **coerced)
+    return ZipfianMix(entries=base.entries, **params)
 
 
 def _scheduler_for(policy: str, manager: ManagerConfig):

@@ -620,16 +620,6 @@ class Machine:
         """Occupancy array: ``cpu_tids[cpu_id]`` is the tid or −1 (read-only)."""
         return self._cpu_tid
 
-    @property
-    def soa_store(self) -> ThreadStore | None:
-        """The store when this machine runs the SoA pipeline, else ``None``.
-
-        Tells which hot path the machine size selected: the SoA pipeline
-        at :data:`_SOA_MIN_CPUS` logical CPUs and above, the scalar lane
-        loops below.
-        """
-        return self.store if self._soa else None
-
     def all_finished(self) -> bool:
         """Whether every registered thread has completed."""
         n = len(self._threads)
@@ -657,19 +647,6 @@ class Machine:
                 return 0.0
             return float(tx.cumsum()[-1])
         return sum(lane[4] for lane in self._lanes)
-
-    def thread_speed(self, tid: int) -> float:
-        """Current execution speed of a running thread (0 if not running)."""
-        self._ensure_solution()
-        if self._soa:
-            hit = np.nonzero(self._lane_rows == tid - 1)[0]
-            if hit.size:
-                return float(self._lane_speed[hit[0]])
-            return 0.0
-        for lane in self._lanes:
-            if lane[0] == tid:
-                return lane[2]
-        return 0.0
 
     # ------------------------------------------------------------ scheduling
 

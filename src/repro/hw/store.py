@@ -101,16 +101,3 @@ class ThreadStore:
         self.finished[i] = False
         self.in_io[i] = False
         return i
-
-    def row_dict(self, i: int) -> dict[str, float | int | bool]:
-        """One row as plain Python scalars (round-trip tests, debugging)."""
-        if not 0 <= i < self.n:
-            raise IndexError(f"store row {i} out of range (n={self.n})")
-        out: dict[str, float | int | bool] = {}
-        for name in FLOAT_FIELDS:
-            out[name] = float(getattr(self, name)[i])
-        for name in INT_FIELDS:
-            out[name] = int(getattr(self, name)[i])
-        for name in BOOL_FIELDS:
-            out[name] = bool(getattr(self, name)[i])
-        return out

@@ -55,13 +55,6 @@ class AppResult:
     migrations: int
     dispatches: int
 
-    @property
-    def mean_rate_txus(self) -> float:
-        """Average transaction rate while on CPU (tx/µs)."""
-        if self.run_time_us <= 0:
-            return 0.0
-        return self.transactions / self.run_time_us
-
 
 @dataclass(frozen=True)
 class RunResult:

@@ -545,13 +545,22 @@ def _run_supervised(
             pending: dict = {}  # future -> (deadline in monotonic seconds, chunk)
 
             def _refill() -> None:
+                nonlocal fault
                 while backlog and len(pending) < n_jobs:
                     if cancel is not None and cancel():
                         backlog.clear()
                         break
                     chunk = backlog.pop()
                     deadline = time.monotonic() + len(chunk) * sup.timeout_for(walls)
-                    pending[pool.submit(_execute_chunk, chunk)] = (deadline, chunk)
+                    try:
+                        future = pool.submit(_execute_chunk, chunk)
+                    except BrokenProcessPool:
+                        # A worker died after the last wait: the chunk stays
+                        # undispatched and the pass ends as a crash.
+                        backlog.append(chunk)
+                        fault = "crash"
+                        return
+                    pending[future] = (deadline, chunk)
 
             def _nearest_deadline() -> float:
                 return min(deadline for deadline, _ in pending.values())

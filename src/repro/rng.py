@@ -85,7 +85,3 @@ class RngRegistry:
         independent streams.
         """
         return RngRegistry(derive_seed(self._seed, f"fork:{name}"))
-
-    def spawn_seed(self, name: str) -> int:
-        """Return a derived integer seed without creating a stream."""
-        return derive_seed(self._seed, name)

@@ -36,7 +36,7 @@ bit-identical (dataclass equality) to a direct in-process run of the
 same spec — ``tests/service/test_service.py`` pins this down.
 """
 
-from .api import create_wsgi_app, serve, serve_background
+from .api import create_wsgi_app, serve
 from .jobs import FairQueue, Job, QueueFullError, ServiceClosedError, SimulationService
 from .ratelimit import RateLimitConfig, RateLimitedError, RateLimiter
 from .schemas import (
@@ -68,7 +68,6 @@ __all__ = [
     "create_wsgi_app",
     "parse_submit_request",
     "serve",
-    "serve_background",
     "result_from_dict",
     "result_to_dict",
     "spec_from_dict",

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import json
 import math
-import threading
 from socketserver import ThreadingMixIn
 from typing import Any, Callable, Iterable
 from urllib.parse import parse_qs
@@ -264,15 +263,3 @@ def serve(
         host, port, create_wsgi_app(service), server_class=ServiceServer, handler_class=handler
     )
     return server
-
-
-def serve_background(
-    service: SimulationService, host: str = "127.0.0.1", port: int = 0
-) -> tuple[ServiceServer, threading.Thread]:
-    """Start serving on a daemon thread (tests/smoke); returns (server, thread)."""
-    server = serve(service, host=host, port=port)
-    thread = threading.Thread(
-        target=server.serve_forever, name="repro-service-http", daemon=True
-    )
-    thread.start()
-    return server, thread

@@ -80,14 +80,7 @@ from ..dynamic.arrivals import (
     ShapedArrivals,
     TraceArrivals,
 )
-from ..dynamic.config import (
-    BurstyMix,
-    HotspotMix,
-    JobMix,
-    SequentialMix,
-    ZipfianMix,
-    paper_mix,
-)
+from ..dynamic.config import JobMix, ZipfianMix, paper_mix
 from ..errors import ConfigError, WorkloadError
 from ..experiments.base import SimulationSpec
 from ..faults.injector import FaultStats
@@ -292,9 +285,6 @@ _CODEC = Codec(
         JobMix: Family("mix", {
             "weighted": JobMix,
             "zipfian": ZipfianMix,
-            "hotspot": HotspotMix,
-            "sequential": SequentialMix,
-            "bursty": BurstyMix,
         }, untagged="weighted"),
     },
     decoders={

@@ -48,16 +48,6 @@ def seconds(value: float) -> float:
     return float(value) * SEC
 
 
-def to_ms(usecs: float) -> float:
-    """Convert canonical microseconds to milliseconds."""
-    return float(usecs) / MSEC
-
-
-def to_seconds(usecs: float) -> float:
-    """Convert canonical microseconds to seconds."""
-    return float(usecs) / SEC
-
-
 # --- bus transaction helpers -------------------------------------------------
 
 #: Bytes moved by one front-side-bus transaction on the paper's platform
@@ -122,7 +112,3 @@ def clamp(value: float, lo: float, hi: float) -> float:
         raise ValueError(f"clamp: lo={lo} exceeds hi={hi}")
     return lo if value < lo else hi if value > hi else value
 
-
-def approx_equal(a: float, b: float, rel: float = 1e-9, abs_tol: float = 1e-12) -> bool:
-    """Relative/absolute float comparison used by tests and invariants."""
-    return abs(a - b) <= max(rel * max(abs(a), abs(b)), abs_tol)

@@ -87,16 +87,6 @@ class ApplicationSpec:
         if self.io_duration_us < 0:
             raise WorkloadError(f"{self.name!r}: negative io duration")
 
-    @property
-    def solo_rate_txus(self) -> float:
-        """Mean unloaded tx/µs of the whole application (all threads)."""
-        return self.pattern.mean_rate() * self.n_threads
-
-    @property
-    def per_thread_rate_txus(self) -> float:
-        """Mean unloaded tx/µs of one thread."""
-        return self.pattern.mean_rate()
-
     def scaled(self, work_scale: float) -> "ApplicationSpec":
         """A copy with per-thread work multiplied by ``work_scale``.
 

@@ -144,11 +144,6 @@ class PhasedPattern(DemandPattern):
         weighted = sum(length * rate for length, rate in self.phases)
         return weighted / total
 
-    @property
-    def cycle_work(self) -> float:
-        """Work per full cycle through the phase list."""
-        return sum(length for length, _ in self.phases)
-
 
 class _PhasedProcess(BoundProcess):
     __slots__ = ("_phases", "_cycle", "_starts")

@@ -78,6 +78,22 @@ def machine_path(soa: bool) -> Iterator[None]:
         yield
 
 
+def thread_speed(machine, tid: int) -> float:
+    """Current execution speed of a running thread (0 if not running).
+
+    Reads the lane arrays of whichever hot path the machine runs, so the
+    scalar and SoA paths can be compared lane for lane.
+    """
+    machine._ensure_solution()
+    if machine._soa:
+        hit = np.nonzero(machine._lane_rows == tid - 1)[0]
+        return float(machine._lane_speed[hit[0]]) if hit.size else 0.0
+    for lane in machine._lanes:
+        if lane[0] == tid:
+            return lane[2]
+    return 0.0
+
+
 @contextlib.contextmanager
 def bus_finder(batched: bool) -> Iterator[None]:
     """Force every bus solve inside the block onto one root finder.

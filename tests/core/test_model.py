@@ -48,10 +48,6 @@ class TestPrediction:
             for ps, grant in zip(predicted.speeds, actual.grants):
                 assert ps == pytest.approx(grant.speed, rel=0.02)
 
-    def test_progress_shortcut(self, model):
-        rates = [3.0, 5.0]
-        assert model.predict_progress(rates) == model.predict(rates).progress
-
 
 class TestValidation:
     @pytest.mark.parametrize(

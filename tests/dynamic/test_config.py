@@ -3,12 +3,9 @@
 import pytest
 
 from repro.dynamic import (
-    BurstyMix,
     DynamicWorkload,
-    HotspotMix,
     JobMix,
     PoissonArrivals,
-    SequentialMix,
     ZipfianMix,
     paper_mix,
 )
@@ -50,13 +47,6 @@ class TestJobMix:
         a = [mix.sample(RngRegistry(5).stream("dynamic.mix")) for _ in range(1)]
         b = [mix.sample(RngRegistry(5).stream("dynamic.mix")) for _ in range(1)]
         assert [s.name for s in a] == [s.name for s in b]
-
-    def test_mean_nominal_service(self):
-        mix = JobMix(entries=((paper_app("CG"), 1.0), (paper_app("SP"), 1.0)))
-        expected = (
-            paper_app("CG").work_per_thread_us + paper_app("SP").work_per_thread_us
-        ) / 2
-        assert mix.mean_nominal_service_us() == pytest.approx(expected)
 
     def test_paper_mix_rejects_empty(self):
         with pytest.raises(ConfigError):
@@ -133,63 +123,6 @@ class TestMixFamilies:
         with pytest.raises(ConfigError):
             ZipfianMix(entries=entries, exponent=float("inf"))
 
-    def test_hotspot_concentrates_on_hot_index(self):
-        entries = self._entries(("CG", 1.0), ("SP", 1.0), ("MG", 1.0))
-        mix = HotspotMix(entries=entries, hot_fraction=0.8, hot_index=1)
-        rng = RngRegistry(5).stream("dynamic.mix")
-        names = [mix.sample(rng).name for _ in range(6000)]
-        assert names.count("SP") / len(names) == pytest.approx(0.8, abs=0.03)
-        assert names.count("CG") / len(names) == pytest.approx(0.1, abs=0.03)
-
-    def test_hotspot_validation(self):
-        entries = self._entries(("CG", 1.0), ("SP", 1.0))
-        with pytest.raises(ConfigError):
-            HotspotMix(entries=entries, hot_fraction=1.0)
-        with pytest.raises(ConfigError):
-            HotspotMix(entries=entries, hot_fraction=0.0)
-        with pytest.raises(ConfigError):
-            HotspotMix(entries=entries, hot_index=2)
-
-    def test_sequential_cycles_deterministically(self):
-        entries = self._entries(("CG", 1.0), ("SP", 1.0))
-        mix = SequentialMix(entries=entries, run_length=3)
-        rng = RngRegistry(6).stream("dynamic.mix")
-        names = [s.name for s in mix.sample_many(rng, 12)]
-        assert names == ["CG"] * 3 + ["SP"] * 3 + ["CG"] * 3 + ["SP"] * 3
-
-    def test_sequential_consumes_no_rng(self):
-        entries = self._entries(("CG", 1.0), ("SP", 1.0))
-        mix = SequentialMix(entries=entries, run_length=2)
-        a = [s.name for s in mix.sample_many(RngRegistry(1).stream("dynamic.mix"), 8)]
-        b = [s.name for s in mix.sample_many(RngRegistry(2).stream("dynamic.mix"), 8)]
-        assert a == b
-
-    def test_sequential_validation(self):
-        with pytest.raises(ConfigError):
-            SequentialMix(entries=self._entries(("CG", 1.0)), run_length=0)
-
-    def test_bursty_produces_runs(self):
-        entries = self._entries(("CG", 1.0), ("SP", 1.0))
-        mix = BurstyMix(entries=entries, mean_run_length=8.0)
-        rng = RngRegistry(7).stream("dynamic.mix")
-        names = [s.name for s in mix.sample_many(rng, 2000)]
-        switches = sum(1 for a, b in zip(names, names[1:]) if a != b)
-        # Independent draws would switch ~50% of the time; runs of mean
-        # length 8 switch ~1/8 of the time.
-        assert switches / len(names) < 0.3
-
-    def test_bursty_deterministic_and_sized(self):
-        entries = self._entries(("CG", 1.0), ("SP", 2.0))
-        mix = BurstyMix(entries=entries, mean_run_length=3.0)
-        a = mix.sample_many(RngRegistry(9).stream("dynamic.mix"), 57)
-        b = mix.sample_many(RngRegistry(9).stream("dynamic.mix"), 57)
-        assert len(a) == 57
-        assert [s.name for s in a] == [s.name for s in b]
-
-    def test_bursty_validation(self):
-        with pytest.raises(ConfigError):
-            BurstyMix(entries=self._entries(("CG", 1.0)), mean_run_length=0.5)
-
     def test_sample_many_base_matches_sample_loop(self):
         mix = JobMix(entries=self._entries(("CG", 3.0), ("SP", 1.0)))
         many = mix.sample_many(RngRegistry(11).stream("dynamic.mix"), 25)
@@ -201,8 +134,13 @@ class TestMixFamilies:
         entries = self._entries(("CG", 1.0), ("SP", 1.0))
         plain = JobMix(entries=entries)
         zipf = ZipfianMix(entries=entries, exponent=1.0)
+
+        def mean_service_us(mix: JobMix) -> float:
+            weighted = mix._effective_entries()
+            return sum(s.work_per_thread_us * w for s, w in weighted) / mix.total_weight
+
         # Zipfian reweights (1, 1/2): the effective mean shifts toward CG.
         cg = paper_app("CG").work_per_thread_us
         sp = paper_app("SP").work_per_thread_us
-        assert plain.mean_nominal_service_us() == pytest.approx((cg + sp) / 2)
-        assert zipf.mean_nominal_service_us() == pytest.approx((2 * cg + sp) / 3)
+        assert mean_service_us(plain) == pytest.approx((cg + sp) / 2)
+        assert mean_service_us(zipf) == pytest.approx((2 * cg + sp) / 3)

@@ -241,13 +241,20 @@ class TestShapeAndMixFactories:
             make_shape("diurnal", wavelength=3.0)
 
     def test_make_mix_families(self):
-        from repro.dynamic import BurstyMix, HotspotMix, SequentialMix, ZipfianMix
+        from repro.dynamic import ZipfianMix
         from repro.experiments.dynamic import make_mix
 
         assert isinstance(make_mix("zipfian", exponent=1.2), ZipfianMix)
-        assert isinstance(make_mix("hotspot", hot_fraction=0.7), HotspotMix)
-        assert isinstance(make_mix("sequential", run_length=3), SequentialMix)
-        assert isinstance(make_mix("bursty", mean_run_length=5.0), BurstyMix)
+
+    @pytest.mark.parametrize(
+        "spec", ["hotspot:hot_fraction=0.7", "sequential:run_length=3", "bursty"]
+    )
+    def test_removed_mix_kind_is_config_error_listing_valid_kinds(self, spec):
+        from repro.cli import main
+
+        with pytest.raises(ConfigError, match="known: weighted, zipfian"):
+            main(["dynamic", "--scale", "0.05", "--num-jobs", "2",
+                  "--replications", "1", "--mix", spec])
 
     def test_make_mix_weighted_rejects_params(self):
         from repro.experiments.dynamic import make_mix

@@ -1,7 +1,8 @@
 """A finished run is freed by reference counting, not by the cyclic GC.
 
 The machine's listeners and the engine's pending events link the
-schedulers and the manager back to the machine and the engine.
+schedulers and the manager back to the machine and the engine, and in
+audited runs the signal dispatcher's audit hook links back to the manager.
 ``SimulationHandle.release`` cuts those links; ``run_simulation`` calls it,
 so a run's objects go away as soon as its result is returned. Left to the
 cyclic collector, dead runs pile up between full collections and raise
@@ -10,6 +11,7 @@ the process's peak memory.
 
 import gc
 import weakref
+from dataclasses import replace
 
 import pytest
 
@@ -18,6 +20,7 @@ from repro.core.policies import QuantaWindowPolicy
 from repro.dynamic.arrivals import PoissonArrivals
 from repro.dynamic.config import DynamicWorkload, paper_mix
 from repro.experiments.base import SimulationSpec, run_simulation, run_simulation_with_handle
+from repro.experiments.faults import REFERENCE_PLAN
 from repro.workloads.microbench import bbma_spec, nbbma_spec
 from repro.workloads.suites import PAPER_APPS
 
@@ -72,6 +75,26 @@ def test_run_simulation_frees_the_run(spec, no_gc, monkeypatch):
     assert result.makespan_us > 0
     machine, engine = built[0]
     assert machine() is None and engine() is None
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        replace(_static("linux"), audit=True),
+        replace(_static(QuantaWindowPolicy()), audit=True),
+        replace(_static(QuantaWindowPolicy()), audit=True, faults=REFERENCE_PLAN),
+    ],
+    ids=["audited-linux", "audited-quanta-window", "audited-fault-1"],
+)
+def test_release_frees_audited_runs(spec, no_gc):
+    # The periodic audit tick of kernel-only runs and the manager's
+    # signal audit hook used to hold the machine in reference cycles.
+    result, handle = run_simulation_with_handle(spec)
+    assert result.audit is not None and result.audit.violations == ()
+    handle.release()
+    machine = weakref.ref(handle.machine)
+    del handle
+    assert machine() is None
 
 
 def test_release_keeps_the_event_ledger_and_the_results():

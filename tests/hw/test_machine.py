@@ -11,6 +11,7 @@ from repro.hw.machine import Machine
 from repro.sim.engine import Engine
 from repro.sim.trace import TraceRecorder
 from repro.workloads.patterns import ConstantPattern, PhasedPattern
+from tests.conftest import thread_speed
 
 
 def _const(rate: float):
@@ -281,6 +282,6 @@ class TestUtilisationIntrospection:
 
     def test_thread_speed_query(self, machine):
         a = machine.add_thread("a", _const(1.0), 1e6, footprint_lines=0.0)
-        assert machine.thread_speed(a.tid) == 0.0  # not running
+        assert thread_speed(machine, a.tid) == 0.0  # not running
         machine.dispatch(0, a.tid)
-        assert 0.9 < machine.thread_speed(a.tid) <= 1.0
+        assert 0.9 < thread_speed(machine, a.tid) <= 1.0

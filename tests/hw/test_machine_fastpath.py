@@ -15,7 +15,7 @@ import pytest
 from repro.config import BusConfig, MachineConfig
 from repro.hw.machine import _SOA_MIN_CPUS, Machine
 from repro.sim.engine import Engine
-from tests.conftest import PATH_CASES, machine_path
+from tests.conftest import PATH_CASES, machine_path, thread_speed
 
 
 class _FlatDemand:
@@ -115,7 +115,7 @@ def _path_pair(n_cpus: int = 8, smt_ways: int = 1) -> tuple[Machine, Machine]:
         scalar = Machine(cfg, Engine())
     with machine_path(soa=True):
         soa = Machine(cfg, Engine())
-    assert scalar.soa_store is None and soa.soa_store is not None
+    assert not scalar._soa and soa._soa
     return scalar, soa
 
 
@@ -133,11 +133,11 @@ class TestPathSelector:
             bus = BusConfig(solver_mode=mode)
             return Machine(MachineConfig(n_cpus=n_cpus, smt_ways=smt_ways, bus=bus), Engine())
 
-        assert build(4).soa_store is None
-        assert build(256).soa_store is not None
-        assert build(_SOA_MIN_CPUS - 1).soa_store is None
+        assert not build(4)._soa
+        assert build(256)._soa
+        assert not build(_SOA_MIN_CPUS - 1)._soa
         # Logical CPUs count: SMT siblings reach the threshold together.
-        assert build(_SOA_MIN_CPUS // 2, smt_ways=2).soa_store is not None
+        assert build(_SOA_MIN_CPUS // 2, smt_ways=2)._soa
 
 
 class TestVectorSettleParity:
@@ -167,7 +167,7 @@ class TestVectorSettleParity:
         assert soa.horizon() == scalar.horizon()
         assert soa.bus_total_txus == scalar.bus_total_txus
         for tid in tids:
-            assert soa.thread_speed(tid) == scalar.thread_speed(tid)
+            assert thread_speed(soa, tid) == thread_speed(scalar, tid)
 
     def test_advance_is_bit_identical(self):
         for smt_ways in PATH_CASES:

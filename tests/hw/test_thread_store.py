@@ -3,7 +3,7 @@
 Three layers of guarantees pinned here:
 
 1. :class:`repro.hw.store.ThreadStore` mechanics — append defaults,
-   growth preserving rows, ``row_dict`` round-trips.
+   growth preserving rows.
 2. :class:`repro.hw.machine.ThreadState` is a *view*: attribute writes
    land in the store arrays and direct array writes are visible through
    the attributes (policies, audit, faults and the batched machine loops
@@ -25,7 +25,7 @@ from repro.config import BusConfig, MachineConfig
 from repro.hw.machine import Machine
 from repro.hw.store import BOOL_FIELDS, FLOAT_FIELDS, INT_FIELDS, ThreadStore
 from repro.sim.engine import Engine
-from tests.conftest import PATH_CASES, bus_finder, machine_path
+from tests.conftest import PATH_CASES, bus_finder, machine_path, thread_speed
 
 
 class _FlatDemand:
@@ -55,12 +55,11 @@ class TestThreadStore:
         store = ThreadStore(capacity=2)
         assert store.add() == 0
         assert store.add() == 1
-        row = store.row_dict(1)
-        assert row["work_done"] == 0.0
-        assert row["next_io_at_work"] == math.inf
-        assert row["seg_end"] == -math.inf  # stale sentinel
-        assert row["cpu"] == -1 and row["last_cpu"] == -1
-        assert not any(row[name] for name in BOOL_FIELDS)
+        assert store.work_done[1] == 0.0
+        assert store.next_io_at_work[1] == math.inf
+        assert store.seg_end[1] == -math.inf  # stale sentinel
+        assert store.cpu[1] == -1 and store.last_cpu[1] == -1
+        assert not any(getattr(store, name)[1] for name in BOOL_FIELDS)
 
     def test_growth_preserves_existing_rows(self):
         store = ThreadStore(capacity=2)
@@ -75,11 +74,6 @@ class TestThreadStore:
         assert store.cpu[0] == 3
         assert bool(store.blocked[0])
         assert store.cpu[10] == -1
-
-    def test_row_dict_bounds(self):
-        store = ThreadStore()
-        with pytest.raises(IndexError):
-            store.row_dict(0)
 
     def test_field_groups_cover_slots(self):
         store = ThreadStore()
@@ -135,7 +129,7 @@ class TestThreadStateView:
         machine = Machine(MachineConfig(), Engine())
         for _ in range(5):
             st = machine.add_thread("x", _FlatDemand(), work_total=10.0)
-            assert machine.store.row_dict(st.tid - 1)["work_total"] == 10.0
+            assert machine.store.work_total[st.tid - 1] == 10.0
 
 
 def _brute_force_ready(machine: Machine) -> list[int]:
@@ -283,7 +277,7 @@ class TestScalarVsSoAPropertyIdentity:
     @pytest.mark.parametrize("seed", [1, 5, 12, 31, 48])
     def test_random_op_sequences_bit_identical(self, seed, smt_ways):
         scalar, soa = machines = _path_pair(smt_ways)
-        assert soa.soa_store is not None and scalar.soa_store is None
+        assert soa._soa and not scalar._soa
         for _ in _apply_random_ops(machines, seed):
             assert soa.horizon() == scalar.horizon()
             _assert_stores_identical(scalar, soa)
@@ -294,7 +288,7 @@ class TestScalarVsSoAPropertyIdentity:
             scalar, soa = machines = _path_pair(smt_ways)
             for _ in _apply_random_ops(machines, seed=9, steps=20):
                 for t in scalar.threads():
-                    assert soa.thread_speed(t.tid) == scalar.thread_speed(t.tid)
+                    assert thread_speed(soa, t.tid) == thread_speed(scalar, t.tid)
 
 
 class TestFaultedRunIdentity:

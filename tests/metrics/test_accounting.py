@@ -56,18 +56,6 @@ class TestCollectRunResult:
             sum(a.transactions for a in result.apps)
         )
 
-    def test_mean_rate_txus_property(self):
-        app = AppResult(
-            name="x", app_id=1, turnaround_us=None, transactions=100.0,
-            run_time_us=50.0, work_done_us=40.0, migrations=0, dispatches=1,
-        )
-        assert app.mean_rate_txus == 2.0
-        idle = AppResult(
-            name="y", app_id=2, turnaround_us=None, transactions=0.0,
-            run_time_us=0.0, work_done_us=0.0, migrations=0, dispatches=0,
-        )
-        assert idle.mean_rate_txus == 0.0
-
     def test_unfinished_targets_raise_on_mean(self):
         r = RunResult(
             makespan_us=10.0,

@@ -187,6 +187,31 @@ class TestErrorMapping:
         for name in valid:
             assert name in body["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "mix",
+        [
+            {"kind": "hotspot", "hot_fraction": 0.7},
+            {"kind": "sequential", "run_length": 3},
+            {"kind": "bursty", "mean_run_length": 6.0},
+        ],
+        ids=["hotspot", "sequential", "bursty"],
+    )
+    def test_removed_mix_kind_is_400_listing_valid_kinds(self, app, mix):
+        bad = {"spec": {
+            "targets": [],
+            "scheduler": {"policy": "quanta_window"},
+            "dynamic": {
+                "arrivals": {"kind": "poisson", "rate_per_s": 2.0},
+                "mix": {**mix, "paper": ["CG", "SP"], "work_scale": 0.02},
+                "n_jobs": 3,
+            },
+        }}
+        status, body = call(app, "POST", "/v1/runs", bad)
+        assert status == 400
+        assert body["error"]["type"] == "validation"
+        assert body["error"]["path"] == "request.spec.dynamic.mix.kind"
+        assert "expected one of weighted, zipfian" in body["error"]["message"]
+
     def test_queue_full_is_503(self):
         # Saturation is 503, distinct from the per-tenant rate limit's 429.
         store = ResultStore(":memory:")

@@ -237,9 +237,6 @@ _mix_family = st.one_of(
     st.just({}),
     st.just({"kind": "weighted"}),
     _kind("zipfian", exponent=_rate),
-    _kind("hotspot", hot_fraction=st.floats(0.01, 0.99), hot_index=st.just(0)),
-    _kind("sequential", run_length=st.integers(1, 6)),
-    _kind("bursty", mean_run_length=st.floats(1.0, 8.0)),
 )
 _mix_source = st.one_of(
     st.fixed_dictionaries({"entries": st.lists(

@@ -158,19 +158,6 @@ SPEC_CASES: dict[str, dict] = {
         {"kind": "poisson", "rate_per_s": 1},
         {"kind": "zipfian", "entries": _MIX_ENTRIES, "exponent": 2},
     ),
-    "mix_hotspot": _dynamic(
-        {"kind": "poisson", "rate_per_s": 1},
-        {"kind": "hotspot", "paper": ["CG", "SP", "LU CB"], "work_scale": 0.05,
-         "hot_fraction": 0.7, "hot_index": 2},
-    ),
-    "mix_sequential": _dynamic(
-        {"kind": "poisson", "rate_per_s": 1},
-        {"kind": "sequential", "paper": ["CG", "SP"], "run_length": 3},
-    ),
-    "mix_bursty": _dynamic(
-        {"kind": "poisson", "rate_per_s": 1},
-        {"kind": "bursty", "entries": _MIX_ENTRIES, "mean_run_length": 6},
-    ),
     "mix_family_defaults": _dynamic(
         {"kind": "poisson", "rate_per_s": 1}, {"kind": "zipfian", "paper": ["CG", "SP"]},
     ),

@@ -519,3 +519,42 @@ class TestSupervisedRunMany:
             run_many(specs, jobs=2, chunk_size=1)
         assert excinfo.value.spec_index == 0
         assert excinfo.value.attempts == SupervisionConfig().max_attempts
+
+    def test_pool_broken_at_submit_ends_the_pass_as_a_crash(self, monkeypatch):
+        # A worker can die between a wait and the next submit, and the
+        # broken pool then refuses the submit. The pass must end as a
+        # crash with the chunk left undispatched: escaping run_many would
+        # make the service replay the batch in-process, where a spec that
+        # kills its worker kills the service.
+        import repro.parallel as par
+        from concurrent.futures.process import BrokenProcessPool
+
+        specs = _specs(4)
+        serial = run_many(specs, jobs=1)
+        submits = []
+
+        class BreaksAtThirdSubmit(par.ProcessPoolExecutor):
+            def submit(self, *args, **kwargs):
+                submits.append(None)
+                if len(submits) == 3:
+                    raise BrokenProcessPool("a worker died")
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(par, "ProcessPoolExecutor", BreaksAtThirdSubmit)
+        assert run_many(specs, jobs=2, chunk_size=1) == serial
+        assert len(submits) == len(specs) + 1  # the refused chunk went again
+
+
+class TestSerialSupervision:
+    def test_serial_supervised_run_builds_no_pool(self, monkeypatch):
+        # Supervision is inert on the serial path: no pool, same results.
+        import repro.parallel as par
+
+        specs = _specs(3)
+        plain = run_many(specs, jobs=1)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a serial run built a process pool")
+
+        monkeypatch.setattr(par, "ProcessPoolExecutor", no_pool)
+        assert run_many(specs, jobs=1, supervise=SupervisionConfig()) == plain

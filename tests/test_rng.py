@@ -55,7 +55,3 @@ class TestRngRegistry:
 
     def test_seed_property(self):
         assert RngRegistry(99).seed == 99
-
-    def test_spawn_seed_matches_derivation(self):
-        reg = RngRegistry(4)
-        assert reg.spawn_seed("abc") == derive_seed(4, "abc")

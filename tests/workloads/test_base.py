@@ -36,10 +36,6 @@ class TestSpecValidation:
         with pytest.raises(WorkloadError):
             _spec(**kw)
 
-    def test_solo_rate_sums_threads(self):
-        assert _spec(n_threads=3).solo_rate_txus == pytest.approx(6.0)
-        assert _spec().per_thread_rate_txus == pytest.approx(2.0)
-
     def test_scaled(self):
         assert _spec().scaled(0.5).work_per_thread_us == 500.0
         with pytest.raises(WorkloadError):

@@ -55,9 +55,6 @@ class TestPhased:
         pat = PhasedPattern(((100.0, 1.0), (50.0, 10.0)))
         assert pat.mean_rate() == pytest.approx(4.0)
 
-    def test_cycle_work(self):
-        assert PhasedPattern(((100.0, 1.0), (50.0, 10.0))).cycle_work == 150.0
-
     def test_empty_rejected(self):
         with pytest.raises(WorkloadError):
             PhasedPattern(())
